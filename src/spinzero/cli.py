@@ -38,8 +38,8 @@ from .measurement import (
     OverlappingSupportError,
     UnnormalizedStateError,
     ZeroProbabilityError,
+    _draw_counts,
     correlation_check,
-    sample,
     sequence_distribution,
 )
 from .scenario import (
@@ -326,7 +326,7 @@ def cmd_sample(cfg: RunConfig):
     state = scenario.states[start_name]
     program = [scenario.observables[name] for name in program_names]
     exact = sequence_distribution(state, program, norm_tol=cfg.tol("norm"))
-    counts = sample(state, program, cfg.trials, cfg.seed, norm_tol=cfg.tol("norm"))
+    counts = _draw_counts(exact.entries, cfg.trials, cfg.seed)
     rows = []
     for label, p in exact.entries:
         count = counts.get(label, 0)
@@ -490,9 +490,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
-    if ns.trials < 1:
-        print("argument error: --trials must be >= 1", file=sys.stderr)
-        return 2
+    for flag, value, low in (("--seed", ns.seed, 0), ("--trials", ns.trials, 1),
+                             ("--rotations", ns.rotations, 1)):
+        if value < low:
+            print(f"argument error: {flag} must be >= {low}", file=sys.stderr)
+            return 2
     cfg = RunConfig(command=ns.command, input=getattr(ns, "input", None),
                     seed=ns.seed, trials=ns.trials, rotations=ns.rotations,
                     tolerances=tolerances, format=ns.format)

@@ -119,8 +119,8 @@ def born_distribution(state, obs: SpectralObservable, *,
     the eigenspace projection of the state."""
     state = _require_measurable(state, obs, norm_tol)
     entries = []
-    for ev, basis in obs.branches:
-        coeff = basis.conj().T @ state
+    for ev, basis in obs.local_branches:
+        coeff = obs._apply(basis, state, adjoint=True)
         entries.append((ev, float(np.sum(np.abs(coeff) ** 2))))
     return Distribution(entries=tuple(entries))
 
@@ -136,22 +136,18 @@ def collapse(state, obs: SpectralObservable, outcome: float, *,
     ZeroProbabilityError.
     """
     state = _require_measurable(state, obs, norm_tol)
-    basis = None
-    for ev, candidate in obs.branches:
-        if ev == outcome or abs(ev - float(outcome)) <= 1e-12:
-            basis = candidate
-            outcome = ev
-            break
-    if basis is None:
+    try:
+        outcome, basis = obs._local_branch(outcome)
+    except KeyError:
         raise OutcomeNotInSpectrumError(
-            f"outcome {outcome} is not in the spectrum {obs.eigenvalues}")
-    coeff = basis.conj().T @ state
+            f"outcome {outcome} is not in the spectrum {obs.eigenvalues}") from None
+    coeff = obs._apply(basis, state, adjoint=True)
     probability = float(np.sum(np.abs(coeff) ** 2))
     if probability <= zero_tol:
         raise ZeroProbabilityError(
             f"outcome {outcome:g} of {obs.name or 'observable'} has zero probability "
             f"({probability:.3e}) on this state")
-    post = (basis @ coeff) / math.sqrt(probability)
+    post = obs._apply(basis, coeff) / math.sqrt(probability)
     return MeasurementRecord(observable=obs.name or "observable",
                              outcome=outcome, probability=probability,
                              post_state=post)
@@ -196,8 +192,8 @@ def _sequence_paths(state, program, norm_tol: float):
                 f"observable dim {obs.dim} does not match state dim {state.shape[0]}")
         grown = []
         for outcome, vec in paths:
-            for ev, basis in obs.branches:
-                grown.append((outcome + (ev,), basis @ (basis.conj().T @ vec)))
+            for ev, basis in obs.local_branches:
+                grown.append((outcome + (ev,), obs._project(basis, vec)))
         paths = grown
     return [(outcome, float(np.vdot(vec, vec).real)) for outcome, vec in paths]
 
@@ -233,9 +229,14 @@ def sample(state, program, trials: int, seed: int, *,
     sequential collapse in distribution while staying deterministic per
     seed.
     """
+    return _draw_counts(_sequence_paths(state, program, norm_tol), trials, seed)
+
+
+def _draw_counts(paths, trials: int, seed: int) -> dict[tuple[float, ...], int]:
+    """One seeded multinomial draw of `trials` shots over exact
+    (outcome, probability) paths."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    paths = _sequence_paths(state, program, norm_tol)
     probs = np.array([p for _, p in paths])
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:

@@ -5,7 +5,8 @@ audits.
 An observable is specified by its spectral data (eigenvalue -> orthonormal
 eigenbasis), never reconstructed from a matrix on the main path; collapse
 semantics depend on eigenspaces, and the eigensolver stays a cross-check
-oracle.
+oracle.  Eigenbases are stored on the qubits the observable acts on and
+applied to a register state by contracting only those qubits.
 """
 
 from __future__ import annotations
@@ -47,53 +48,77 @@ class NonCommutingError(ValueError):
     """Observables required to commute do not."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralObservable:
     """Hermitian observable as (eigenvalue, orthonormal eigenbasis) branches.
 
-    Each branch basis is a dim x k column block; across branches the columns
-    form an orthonormal basis of the whole space, so the branch projectors
-    resolve the identity.  `sites` records which 1-indexed qubits the
-    observable acts on (maintained by `embed` for disjointness bookkeeping).
+    The branch bases are stored locally: each is a 2**k x r column block on
+    the k qubits listed in `sites` (local qubit j sits on register site
+    sites[j], 1-indexed) of an n_qubits register, with the identity
+    elsewhere.  Across branches the columns form an orthonormal basis of
+    the local space, so the branch projectors resolve the identity.  A
+    site-less observable acts on its whole register in order.
+
+    `branches`, `branch_basis`, `projector` and `matrix()` are register-wide
+    dense views built on demand; measurement projects with `_apply`, which
+    never forms them.
     """
 
-    branches: tuple[tuple[float, np.ndarray], ...]
-    sites: tuple[int, ...] | None = None
-    name: str = ""
+    local_branches: tuple[tuple[float, np.ndarray], ...]
+    sites: tuple[int, ...] | None
+    dim: int
+    name: str
+    _subscripts: tuple[str, str] | None = field(repr=False)
 
-    def __post_init__(self):
-        branches = []
-        for eigenvalue, basis in self.branches:
+    def __init__(self, branches, sites=None, name: str = "",
+                 n_qubits: int | None = None):
+        local = []
+        for eigenvalue, basis in branches:
             basis = np.asarray(basis, dtype=complex)
             if basis.ndim == 1:
                 basis = basis.reshape(-1, 1)
-            branches.append((float(eigenvalue), basis))
-        object.__setattr__(self, "branches", tuple(branches))
-        if not self.branches:
+            local.append((float(eigenvalue), basis))
+        if not local:
             raise ValueError("observable needs at least one branch")
-        dim = self.branches[0][1].shape[0]
+        local_dim = local[0][1].shape[0]
         total = 0
-        for eigenvalue, basis in self.branches:
+        for eigenvalue, basis in local:
             if not np.isfinite(eigenvalue):
                 raise ValueError("eigenvalues must be finite")
-            if basis.shape[0] != dim:
+            if basis.shape[0] != local_dim:
                 raise DimensionMismatchError("all branch bases must share one dimension")
             total += basis.shape[1]
-        if total != dim:
-            raise ValueError(f"branch bases supply {total} vectors for dimension {dim}")
-        values = [ev for ev, _ in self.branches]
+        if total != local_dim:
+            raise ValueError(f"branch bases supply {total} vectors for dimension {local_dim}")
+        values = [ev for ev, _ in local]
         for i, vi in enumerate(values):
             for vj in values[i + 1:]:
                 if abs(vi - vj) <= TOL_CLUSTER:
                     raise ValueError(f"branch eigenvalues {vi} and {vj} are not separated")
-        union = np.hstack([basis for _, basis in self.branches])
-        gram_dev = max_abs(union.conj().T @ union - np.eye(dim))
+        union = np.hstack([basis for _, basis in local])
+        gram_dev = max_abs(union.conj().T @ union - np.eye(local_dim))
         if gram_dev > TOL_ORTH:
             raise ValueError(f"branch bases are not orthonormal: deviation {gram_dev:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.branches[0][1].shape[0]
+        dim = local_dim
+        if sites is not None:
+            sites = tuple(int(s) for s in sites)
+            if 2 ** len(sites) != local_dim:
+                raise DimensionMismatchError(
+                    f"{len(sites)} sites need branch bases with {2 ** len(sites)} rows, "
+                    f"got {local_dim}")
+            n = len(sites) if n_qubits is None else int(n_qubits)
+            if n > MAX_QUBITS:
+                raise CapacityError(f"{n} qubits exceed the {MAX_QUBITS}-qubit maximum")
+            _check_sites(sites, n)
+            dim = 2 ** n
+        elif n_qubits is not None and 2 ** int(n_qubits) != local_dim:
+            raise DimensionMismatchError(
+                f"site-less branch bases have {local_dim} rows, not 2**{n_qubits}")
+        object.__setattr__(self, "local_branches", tuple(local))
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_subscripts", _einsum_subscripts(sites, dim))
 
     @property
     def n_qubits(self) -> int:
@@ -104,13 +129,58 @@ class SpectralObservable:
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(ev for ev, _ in self.branches)
+        return tuple(ev for ev, _ in self.local_branches)
+
+    def _local_branch(self, eigenvalue: float) -> tuple[float, np.ndarray]:
+        """The (eigenvalue, local basis) branch matching `eigenvalue`."""
+        for ev, basis in self.local_branches:
+            if ev == eigenvalue or abs(ev - float(eigenvalue)) <= 1e-12:
+                return ev, basis
+        raise KeyError(f"{eigenvalue} is not in the spectrum {self.eigenvalues}")
+
+    def _apply(self, basis: np.ndarray, arr: np.ndarray, *,
+               adjoint: bool = False) -> np.ndarray:
+        """The projection kernel: B arr, or B^dagger arr when `adjoint`,
+        for B a local branch basis lifted onto the register.
+
+        `arr` is a vector or a matrix of columns.  B is never formed: the
+        register axes of `arr` are split into one axis per qubit, only the
+        site axes are contracted with the local basis, and the einsum output
+        subscripts put the axes back in order.  Coefficients are ordered
+        (local column, then the other qubits ascending), the column order of
+        the dense view.  Plain einsum, not BLAS: BLAS kernels fuse
+        multiply-adds, which leaves ~1e-34 residues where an impossible
+        outcome's amplitudes cancel exactly.
+        """
+        if self._subscripts is None:
+            return basis.conj().T @ arr if adjoint else basis @ arr
+        to_local, to_register = self._subscripts
+        k = len(self.sites)
+        batch = arr.shape[1:]
+        tensor = basis.reshape((2,) * k + basis.shape[1:])
+        if adjoint:
+            out = np.einsum(to_local, tensor.conj(), arr.reshape((2,) * self.n_qubits + batch))
+            return out.reshape((-1,) + batch)
+        rest = (2,) * (self.n_qubits - k)
+        out = np.einsum(to_register, tensor, arr.reshape(basis.shape[1:] + rest + batch))
+        return out.reshape((self.dim,) + batch)
+
+    def _project(self, basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
+        """B B^dagger arr: projection onto a lifted local branch basis."""
+        return self._apply(basis, self._apply(basis, arr, adjoint=True))
+
+    def _dense(self, basis: np.ndarray) -> np.ndarray:
+        if self._subscripts is None:
+            return basis
+        return _lift_columns(basis, self.sites, self.n_qubits)
+
+    @property
+    def branches(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """Register-wide (eigenvalue, dim x r basis) branches, built on demand."""
+        return tuple((ev, self._dense(basis)) for ev, basis in self.local_branches)
 
     def branch_basis(self, eigenvalue: float) -> np.ndarray:
-        for ev, basis in self.branches:
-            if ev == eigenvalue or abs(ev - eigenvalue) <= 1e-12:
-                return basis
-        raise KeyError(f"{eigenvalue} is not in the spectrum {self.eigenvalues}")
+        return self._dense(self._local_branch(eigenvalue)[1])
 
     def projector(self, eigenvalue: float) -> np.ndarray:
         basis = self.branch_basis(eigenvalue)
@@ -136,10 +206,8 @@ def pauli(axis: str, site: int, n: int) -> SpectralObservable:
         raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
     if not 1 <= site <= n:
         raise ValueError(f"site {site} out of range 1..{n}")
-    single = SpectralObservable(branches=_PAULI_EIGENBASES[key])
-    lifted = embed(single, [site], n)
-    return SpectralObservable(branches=lifted.branches, sites=(site,),
-                              name=f"sigma_{key}{site}")
+    return SpectralObservable(branches=_PAULI_EIGENBASES[key], sites=(site,),
+                              n_qubits=n, name=f"sigma_{key}{site}")
 
 
 def _orthonormal_completion(seed_vectors, dim: int) -> np.ndarray:
@@ -187,42 +255,56 @@ def observable_g() -> SpectralObservable:
     return _collective_observable("G")
 
 
-def _embedding_axes(sites, n: int) -> list[int]:
-    """Transpose axes mapping the (sites..., complement...) qubit ordering
-    onto ascending register sites."""
-    sites = [int(s) for s in sites]
+def _check_sites(sites, n: int) -> None:
     if len(set(sites)) != len(sites):
-        raise ValueError(f"sites must be distinct, got {sites}")
+        raise ValueError(f"sites must be distinct, got {list(sites)}")
     for s in sites:
         if not 1 <= s <= n:
             raise ValueError(f"site {s} out of range 1..{n}")
-    complement = [s for s in range(1, n + 1) if s not in sites]
-    source = sites + complement
-    return [source.index(t + 1) for t in range(n)]
+
+
+def _einsum_subscripts(sites, dim: int) -> tuple[str, str] | None:
+    """Einsum subscripts of the projection kernel for a local basis on
+    `sites` of a dim-dimensional register: (B^dagger arr, B coeff).  None
+    when the sites are the whole register in order, so the local bases
+    already are the register-wide ones."""
+    n = dim.bit_length() - 1
+    if sites is None or sites == tuple(range(1, n + 1)):
+        return None
+    axes = [chr(ord("a") + q) for q in range(n)]
+    local = "".join(axes[s - 1] for s in sites) + "R"
+    rest = "R" + "".join(a for q, a in enumerate(axes, start=1) if q not in sites)
+    register = "".join(axes)
+    return f"{local},{register}...->{rest}...", f"{local},{rest}...->{register}..."
 
 
 def _lift_columns(basis: np.ndarray, sites, n: int) -> np.ndarray:
-    """Tensor each basis column with the identity on the complement sites,
-    then reorder qubits so `sites` land at their register positions."""
+    """Dense view of a local basis: tensor each column with the identity on
+    the complement sites, then reorder qubits so `sites` land at their
+    register positions.  Columns are ordered (local column, complement)."""
     k = len(sites)
-    rest = 2 ** (n - k)
-    block = np.kron(basis, np.eye(rest, dtype=complex))
-    axes = _embedding_axes(sites, n)
+    block = np.kron(basis, np.eye(2 ** (n - k), dtype=complex))
+    source = list(sites) + [s for s in range(1, n + 1) if s not in sites]
+    axes = [source.index(t) for t in range(1, n + 1)]
     cols = block.shape[1]
     return block.reshape([2] * n + [cols]).transpose(axes + [n]).reshape(2 ** n, cols)
 
 
 def embed(obs: SpectralObservable, sites, n: int) -> SpectralObservable:
-    """Lift an observable onto `sites` of an n-qubit register (identity
+    """Place an observable on `sites` of an n-qubit register (identity
     elsewhere).  Eigenvalues are preserved; each eigenspace dimension is
-    multiplied by 2**(n - len(sites))."""
+    multiplied by 2**(n - len(sites)).  The local bases are shared, not
+    lifted: an observable already on sites s lands on sites[s - 1]."""
     sites = [int(s) for s in sites]
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceed the {MAX_QUBITS}-qubit maximum")
     if len(sites) != obs.n_qubits:
         raise ValueError(f"observable covers {obs.n_qubits} qubits, got {len(sites)} sites")
-    branches = tuple((ev, _lift_columns(basis, sites, n)) for ev, basis in obs.branches)
-    return SpectralObservable(branches=branches, sites=tuple(sites), name=obs.name)
+    _check_sites(sites, n)
+    if obs.sites is not None:
+        sites = [sites[s - 1] for s in obs.sites]
+    return SpectralObservable(branches=obs.local_branches, sites=sites,
+                              n_qubits=n, name=obs.name)
 
 
 def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, herm_tol: float = TOL_HERM,
@@ -312,8 +394,8 @@ def joint_eigenspaces(generators, *, commute_tol: float = 1e-10,
     for gen in generators:
         refined = []
         for outcome, basis in spaces:
-            for ev, branch in gen.branches:
-                projected = branch @ (branch.conj().T @ basis)
+            for ev, branch in gen.local_branches:
+                projected = gen._project(branch, basis)
                 q = _orthonormal_columns(projected, rank_tol)
                 if q.shape[1] > 0:
                     refined.append((outcome + (ev,), q))
@@ -339,8 +421,8 @@ def is_function_of(f: SpectralObservable, generators, *,
     table: dict[tuple[float, ...], float] = {}
     for outcome, basis in joint_eigenspaces(generators, commute_tol=commute_tol):
         value = None
-        for ev, branch in f.branches:
-            residual = max_abs(branch @ (branch.conj().T @ basis) - basis)
+        for ev, branch in f.local_branches:
+            residual = max_abs(f._project(branch, basis) - basis)
             if residual <= contain_tol:
                 value = ev
                 break
@@ -421,6 +503,8 @@ def check_invariance(obs: SpectralObservable, rotation=None, *,
     """
     if pattern not in ("equal", "per_site"):
         raise ValueError(f"pattern must be 'equal' or 'per_site', got {pattern!r}")
+    if rotation is None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n = obs.n_qubits
     m = obs.matrix()
     rotation_sets = []

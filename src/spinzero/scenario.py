@@ -988,12 +988,10 @@ class ProtocolReport:
     certainty: float
 
 
-def _claimed_from_state(post: np.ndarray, collective: SpectralObservable,
-                        zero_tol: float):
-    plus = collective.branch_basis(1.0)
-    minus = collective.branch_basis(-1.0)
-    p_plus = float(np.sum(np.abs(plus.conj().T @ post) ** 2))
-    p_minus = float(np.sum(np.abs(minus.conj().T @ post) ** 2))
+def _claimed_value(distribution: Distribution, zero_tol: float):
+    """The lookup rule's value from the weights of the +1 and -1 branches."""
+    p_plus = distribution.probability(1.0)
+    p_minus = distribution.probability(-1.0)
     if p_plus > zero_tol and p_minus <= zero_tol:
         return 1.0
     if p_minus > zero_tol and p_plus <= zero_tol:
@@ -1022,7 +1020,7 @@ def assign_claimed_value(outcome, *, zero_tol: float = TOL_ZERO):
         else:
             chars.append("+" if sign > 0 else "-")
     ket = basis_ket("".join(chars))
-    return _claimed_from_state(ket, observable_f(), zero_tol)
+    return _claimed_value(born_distribution(ket, observable_f()), zero_tol)
 
 
 def _default_spin_program(n: int):
@@ -1055,8 +1053,8 @@ def run_claimed_protocol(state, outcome, *, program=None, collective=None,
     records = run_sequence(state, program, [float(s) for s in outcome],
                            zero_tol=zero_tol)
     post = records[-1].post_state
-    claimed = _claimed_from_state(post, collective, zero_tol)
     distribution = born_distribution(post, collective)
+    claimed = _claimed_value(distribution, zero_tol)
     if claimed in (1.0, -1.0):
         certainty = distribution.probability(claimed)
         verdict = "confirmed" if certainty >= 1.0 - corr_tol else "refuted"

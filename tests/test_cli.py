@@ -1,7 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from spinzero.cli import format_probability, main, outcome_text, rational_label
 
@@ -160,3 +165,21 @@ def test_unknown_tolerance_rejected(capsys):
 def test_missing_input_file_exit_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(tmp_path / "nope.qsc"))
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["refute", "--rotations", "0"],
+    ["audit-invariance", "--rotations", "-3"],
+    ["audit-function", "--seed", "-1"],
+    ["sample", str(REFUTATION_SCENARIO), "--seed", "-1"],
+])
+def test_bad_counts_exit_2_without_traceback(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "spinzero.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("argument error:")
+    assert proc.stdout == ""

@@ -225,6 +225,11 @@ def test_check_invariance_rejects_non_unitary():
         check_invariance(observable_f(), np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+def test_check_invariance_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_invariance(observable_f(), pattern="equal", trials=0)
+
+
 def test_check_invariance_per_site_rotation_list():
     rng = np.random.default_rng(41)
     rotations = [_su2_from_rng(rng) for _ in range(4)]
