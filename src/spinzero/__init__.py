@@ -13,7 +13,6 @@ from .qcore import (
     SpectralDecomposition,
     apply,
     commutator,
-    dagger,
     fidelity,
     hermitian_eigen,
     inner,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import product
 
 from .qcore import (
     DEFAULT_TOLERANCES,
@@ -196,8 +197,6 @@ def cmd_refutation(cfg: RunConfig):
     pair = spin_zero_basis()
     ket = basis_ket("00++")
     state = eta_tilde()
-    f_obs = observable_f()
-    g_obs = observable_g()
 
     phi1_overlap_sq = abs(inner(ket, pair.phi1)) ** 2
     phi0_overlap = abs(inner(ket, pair.phi0))
@@ -221,30 +220,23 @@ def cmd_refutation(cfg: RunConfig):
         "passed": protocol.claimed_value == 1.0 and protocol.verdict == "refuted",
     }
 
-    audit = dirac_audit()
+    _, audit = cmd_audit_function(cfg)
     stage3 = {
         "name": "functional dependence on single-site outcomes",
-        "is_function": audit.is_function,
-        "witness": audit.witness,
-        "passed": not audit.is_function,
+        "is_function": audit["is_function"],
+        "witness": audit["witness"],
+        "passed": audit["passed"],
     }
 
-    inv_tol = cfg.tol("inv")
-    rot = cfg.rotations
-    equal_f = _invariance_summary(f_obs, "equal", rot, cfg.seed, inv_tol)
-    equal_g = _invariance_summary(g_obs, "equal", rot, cfg.seed + 1, inv_tol)
-    per_f = _invariance_summary(f_obs, "per_site", rot, cfg.seed + 2, inv_tol)
-    per_g = _invariance_summary(g_obs, "per_site", rot, cfg.seed + 3, inv_tol)
-    quorum = math.ceil(_PER_SITE_QUORUM * rot / 100)
+    _, invariance = cmd_audit_invariance(cfg)
     stage4 = {
         "name": "rotation invariance (equal yes, per-site no)",
-        "results": [equal_f, equal_g, per_f, per_g],
-        "passed": (equal_f["invariant"] and equal_g["invariant"]
-                   and per_f["violations"] >= quorum and per_g["violations"] >= quorum),
+        "results": invariance["results"],
+        "passed": invariance["passed"],
     }
 
-    corr = correlation_check(state, embed(f_obs, [1, 2, 3, 4], 8),
-                             embed(g_obs, [5, 6, 7, 8], 8),
+    corr = correlation_check(state, embed(observable_f(), [1, 2, 3, 4], 8),
+                             embed(observable_g(), [5, 6, 7, 8], 8),
                              corr_tol=cfg.tol("corr"), zero_tol=cfg.tol("zero"))
     stage5 = {
         "name": "correlation of the two collective observables",
@@ -258,7 +250,7 @@ def cmd_refutation(cfg: RunConfig):
     report = {
         "command": "refute",
         "seed": cfg.seed,
-        "rotations": rot,
+        "rotations": cfg.rotations,
         "stages": [{"index": k + 1, **st} for k, st in enumerate(stages)],
         "note": RECONSTRUCTION_NOTE,
         "failed_stage": failed[0] if failed else None,
@@ -311,19 +303,22 @@ def _render_refutation(report) -> list[str]:
 
 def cmd_sample(cfg: RunConfig):
     scenario = parse_scenario_file(cfg.input)
-    current_name = None
-    start_name = None
+    current = start = None
     program_names: list[str] = []
     for st in scenario.statements:
         if isinstance(st, StateStmt):
-            current_name = st.name
+            current = st
         elif isinstance(st, MeasureStmt):
-            if start_name is None:
-                start_name = current_name
+            if start is None:
+                start = current
+            elif current is not start:
+                raise ScenarioRuntimeError(
+                    f"line {st.line}: state {current.name!r} (line {current.line}) is bound "
+                    "between measure lines; sample draws one chained program from one state")
             program_names.extend(st.names)
-    if start_name is None:
+    if start is None:
         raise ScenarioRuntimeError("scenario contains no measure line to sample")
-    state = scenario.states[start_name]
+    state = scenario.states[start.name]
     program = [scenario.observables[name] for name in program_names]
     exact = sequence_distribution(state, program, norm_tol=cfg.tol("norm"))
     counts = _draw_counts(exact.entries, cfg.trials, cfg.seed)
@@ -342,7 +337,7 @@ def cmd_sample(cfg: RunConfig):
     report = {
         "command": "sample",
         "input": cfg.input,
-        "state": start_name,
+        "state": start.name,
         "observables": program_names,
         "trials": cfg.trials,
         "seed": cfg.seed,
@@ -394,12 +389,9 @@ def _render_audit_function(report) -> list[str]:
 def cmd_audit_invariance(cfg: RunConfig):
     inv_tol = cfg.tol("inv")
     rot = cfg.rotations
-    results = [
-        _invariance_summary(observable_f(), "equal", rot, cfg.seed, inv_tol),
-        _invariance_summary(observable_g(), "equal", rot, cfg.seed + 1, inv_tol),
-        _invariance_summary(observable_f(), "per_site", rot, cfg.seed + 2, inv_tol),
-        _invariance_summary(observable_g(), "per_site", rot, cfg.seed + 3, inv_tol),
-    ]
+    pairs = product(("equal", "per_site"), (observable_f(), observable_g()))
+    results = [_invariance_summary(obs, pattern, rot, cfg.seed + k, inv_tol)
+               for k, (pattern, obs) in enumerate(pairs)]
     quorum = math.ceil(_PER_SITE_QUORUM * rot / 100)
     passed = all(r["invariant"] for r in results if r["pattern"] == "equal") and \
         all(r["violations"] >= quorum for r in results if r["pattern"] == "per_site")

@@ -25,6 +25,7 @@ from .qcore import (
     CapacityError,
     DimensionMismatchError,
     NonUnitaryError,
+    _kron_all,
     as_operator,
     commutator,
     hermitian_eigen,
@@ -483,13 +484,6 @@ def _require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
     return u
 
 
-def _kron_chain(factors) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
 def check_invariance(obs: SpectralObservable, rotation=None, *,
                      pattern: str = "equal", trials: int = 1, seed: int = 0,
                      tol: float = TOL_INVARIANCE,
@@ -525,7 +519,7 @@ def check_invariance(obs: SpectralObservable, rotation=None, *,
                 rotation_sets.append([_su2_from_rng(rng) for _ in range(n)])
     deviations = []
     for factors in rotation_sets:
-        v = _kron_chain(factors)
+        v = _kron_all(factors)
         deviations.append(max_abs(v @ m @ v.conj().T - m))
     max_dev = max(deviations)
     return InvarianceReport(invariant=max_dev < tol, max_deviation=max_dev,

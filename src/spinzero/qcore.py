@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -134,6 +135,13 @@ def tensor(a: np.ndarray, b: np.ndarray, *, max_qubits: int = MAX_QUBITS) -> np.
     return np.kron(a, b)
 
 
+def _kron_all(factors) -> np.ndarray:
+    """Kronecker product of one or more factors, left to right; a fresh
+    complex array even for a single factor."""
+    first, *rest = factors
+    return reduce(np.kron, rest, np.array(first, dtype=complex))
+
+
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Inner product <a|b>, conjugate-linear in the first argument."""
     a = np.asarray(a, dtype=complex)
@@ -152,10 +160,6 @@ def apply(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     return m @ s
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab - ba."""
     a = as_operator(a)
@@ -170,11 +174,6 @@ def max_abs(arr) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.max(np.abs(arr)))
-
-
-def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return max_abs(m - m.conj().T) <= tol
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -45,7 +45,7 @@ from .qcore import (
     num_qubits,
     permute_qubits,
 )
-from .states import SINGLET_2, basis_ket, eta_tilde, spin_zero_basis
+from .states import basis_ket, eta_tilde, singlet, spin_zero_basis
 from .observables import (
     FunctionReport,
     SpectralObservable,
@@ -148,12 +148,22 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # AST
 
+@dataclass(frozen=True, kw_only=True)
+class _Node:
+    """Source position of a node; it takes no part in comparisons."""
+
+    line: int = field(compare=False, default=0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Expr(_Node):
+    col: int = field(compare=False, default=0)
+
+
 @dataclass(frozen=True)
-class Coeff:
+class Coeff(_Expr):
     negative: bool
     factors: tuple[tuple[str, str, int], ...]  # (op '*' or '/', kind, value); kind 'i' ignores value
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
     @property
     def value(self) -> complex:
@@ -170,129 +180,101 @@ class Coeff:
 
 
 @dataclass(frozen=True)
-class Ket:
+class Ket(_Expr):
     chars: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class NameRef:
+class NameRef(_Expr):
     name: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class StateBuiltin:
+class StateBuiltin(_Expr):
     kind: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class SingletCall:
+class SingletCall(_Expr):
     i: int
     j: int
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Expr):
     left: object
     right: object
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Expr):
     left: object
     right: object
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(_Expr):
     coeff: Coeff
     operand: object
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class Normalize:
+class Normalize(_Expr):
     operand: object
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class SigmaExpr:
+class SigmaExpr(_Expr):
     axis: str
     site: int
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class ObsBuiltin:
+class ObsBuiltin(_Expr):
     kind: str  # 'F' | 'G'
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class EmbedExpr:
+class EmbedExpr(_Expr):
     inner: object
     sites: tuple[int, ...]
     n: int
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class QubitsStmt:
+class QubitsStmt(_Node):
     n: int
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class StateStmt:
+class StateStmt(_Node):
     name: str
     expr: object
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class ObsStmt:
+class ObsStmt(_Node):
     name: str
     expr: object
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class MeasureStmt:
+class MeasureStmt(_Node):
     names: tuple[str, ...]
     signs: tuple[int, ...]
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class AssertProbStmt:
+class AssertProbStmt(_Node):
     name: str
     signs: tuple[int, ...]
     numerator: int
     denominator: int
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class ReportStmt:
+class ReportStmt(_Node):
     name: str
-    line: int = field(compare=False, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +577,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def parse_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Parse a UTF-8 scenario file; undecodable bytes are a parse error at
+    the line and column of the first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = raw[:exc.start].decode("utf-8").split("\n")
+        raise ScenarioParseError(f"invalid UTF-8 byte 0x{raw[exc.start]:02x}",
+                                 len(lines), len(lines[-1]) + 1) from None
+    return parse_scenario(text)
 
 
 def _elaborate(statements) -> Scenario:
@@ -740,14 +731,11 @@ def _collapse_value(value, node) -> np.ndarray:
         raise ScenarioParseError(
             f"a pair product must cover sites 1..{n} exactly, got {sites}",
             node.line, node.col)
-    vec = np.array([1.0], dtype=complex)
-    for _ in pairs:
-        vec = np.kron(vec, SINGLET_2)
     order = [0] * n
     for m, (i, j) in enumerate(pairs):
         order[i - 1] = 2 * m + 1
         order[j - 1] = 2 * m + 2
-    return permute_qubits(vec, order)
+    return permute_qubits(singlet(len(pairs)), order)
 
 
 def _eval_oexpr(node, n_qubits: int | None) -> SpectralObservable:

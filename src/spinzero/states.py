@@ -20,6 +20,7 @@ from .qcore import (
     SIGMA_Y,
     SIGMA_Z,
     CapacityError,
+    _kron_all,
     as_state,
     num_qubits,
     permute_qubits,
@@ -51,12 +52,10 @@ def basis_ket(spec) -> np.ndarray:
         raise ValueError("basis_ket needs at least one qubit")
     if len(chars) > MAX_QUBITS:
         raise CapacityError(f"{len(chars)} qubits exceed the {MAX_QUBITS}-qubit maximum")
-    vec = np.array([1.0], dtype=complex)
     for ch in chars:
         if ch not in AXIS_KETS:
             raise ValueError(f"invalid ket character {ch!r}: expected one of 0, 1, +, -")
-        vec = np.kron(vec, AXIS_KETS[ch])
-    return vec
+    return _kron_all(AXIS_KETS[ch] for ch in chars)
 
 
 def singlet(pair_count: int = 1) -> np.ndarray:
@@ -65,10 +64,7 @@ def singlet(pair_count: int = 1) -> np.ndarray:
         raise ValueError("pair_count must be positive")
     if 2 * pair_count > MAX_QUBITS:
         raise CapacityError(f"{2 * pair_count} qubits exceed the {MAX_QUBITS}-qubit maximum")
-    vec = np.array([1.0], dtype=complex)
-    for _ in range(pair_count):
-        vec = np.kron(vec, SINGLET_2)
-    return vec
+    return _kron_all([SINGLET_2] * pair_count)
 
 
 def singlet_on(i: int, j: int, n: int, filler=None) -> np.ndarray:
@@ -138,14 +134,6 @@ def eta_tilde() -> np.ndarray:
     return np.kron(basis_ket("00++"), bob)
 
 
-def _site_product(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Kron chain placing each 2x2 operator at its 1-indexed site."""
-    out = np.array([[1.0]], dtype=complex)
-    for site in range(1, n + 1):
-        out = np.kron(out, ops.get(site, IDENTITY_2))
-    return out
-
-
 def total_spin_squared(n: int) -> np.ndarray:
     """The operator (sum_i vec(sigma_i)/2)^2 on n qubits.
 
@@ -159,5 +147,6 @@ def total_spin_squared(n: int) -> np.ndarray:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-                s2 += 0.5 * _site_product({i: sigma, j: sigma}, n)
+                s2 += 0.5 * _kron_all(sigma if site in (i, j) else IDENTITY_2
+                                      for site in range(1, n + 1))
     return s2

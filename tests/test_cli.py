@@ -142,6 +142,42 @@ def test_sample_without_measure_line_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_sample_rejects_state_between_measure_lines(capsys, tmp_path):
+    path = tmp_path / "rebind.qsc"
+    path.write_text("qubits 1\nstate a = |0>\nobs z = sigma z 1\nobs x = sigma x 1\n"
+                    "measure z outcomes +\nstate b = |+>\nmeasure x outcomes +\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["measurements"][1]["joint_probability"] == pytest.approx(1.0)
+    code, out, err = run_cli(capsys, "sample", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("runtime error: line 7: state 'b' (line 6)")
+
+
+def test_pair_product_over_ten_qubits_exit_3(capsys, tmp_path):
+    path = tmp_path / "pairs.qsc"
+    pairs = " * ".join(f"singlet({k},{k + 1})" for k in range(1, 12, 2))
+    path.write_text(f"qubits 10\nstate s = {pairs}\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3
+    assert err.startswith("runtime error:")
+
+
+def test_refute_stages_are_the_standalone_audits(capsys):
+    flags = ["--seed", "5", "--rotations", "10", "--format", "json"]
+    _, raw, _ = run_cli(capsys, "refute", *flags)
+    stages = json.loads(raw)["stages"]
+    _, raw, _ = run_cli(capsys, "audit-function", *flags)
+    function = json.loads(raw)
+    _, raw, _ = run_cli(capsys, "audit-invariance", *flags)
+    invariance = json.loads(raw)
+    assert stages[2]["is_function"] == function["is_function"]
+    assert stages[2]["witness"] == function["witness"]
+    assert stages[3]["results"] == invariance["results"]
+    assert stages[3]["passed"] == invariance["passed"]
+
+
 def test_audit_function(capsys):
     code, out, err = run_cli(capsys, "audit-function")
     assert code == 0
@@ -182,4 +218,18 @@ def test_bad_counts_exit_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("argument error:")
+    assert proc.stdout == ""
+
+
+def test_undecodable_scenario_exit_2_without_traceback(tmp_path):
+    path = tmp_path / "latin1.qsc"
+    path.write_bytes(b"qubits 1\nstate a = |0>\n# caf\xe9\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "spinzero.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "parse error: line 3, column 6: invalid UTF-8 byte 0xe9\n"
     assert proc.stdout == ""

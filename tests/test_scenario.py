@@ -16,6 +16,7 @@ from spinzero.scenario import (
     dirac_audit,
     format_scenario,
     parse_scenario,
+    parse_scenario_file,
     run_claimed_protocol,
     run_scenario,
     scenarios_equivalent,
@@ -116,6 +117,23 @@ def test_parse_error_column_points_at_bad_ket_character():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario("state x = |02>\n")
     assert err.value.col == 13  # the '2'
+
+
+def test_undecodable_file_reports_first_bad_byte(tmp_path):
+    path = tmp_path / "bad.qsc"
+    # CRLF endings; columns count characters, so the two-byte e-acute is one.
+    path.write_bytes(b"qubits 1\r\nstate a = |0> # \xc3\xa9\xff\r\n")
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario_file(path)
+    assert (err.value.line, err.value.col) == (2, 18)
+
+
+def test_crlf_file_parses_like_lf(tmp_path):
+    text = "qubits 1\nstate a = |+>\nobs x = sigma x 1\nmeasure x outcomes +\n"
+    crlf, lf = tmp_path / "crlf.qsc", tmp_path / "lf.qsc"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    lf.write_bytes(text.encode("utf-8"))
+    assert scenarios_equivalent(parse_scenario_file(crlf), parse_scenario_file(lf))
 
 
 def test_reserved_names_rejected():

@@ -36,6 +36,14 @@ def test_basis_ket_matches_direct_expansion():
         assert np.allclose(basis_ket(chars), product_ket(chars))
 
 
+def test_single_factor_products_are_fresh_arrays():
+    ket = basis_ket("0")
+    ket[0] = 0.0
+    assert np.array_equal(basis_ket("0"), [1, 0])
+    pair = singlet(1)
+    assert pair is not SINGLET_2 and np.array_equal(pair, SINGLET_2)
+
+
 def test_basis_ket_accepts_character_sequences():
     assert np.allclose(basis_ket(["0", "0", "+", "+"]), basis_ket("00++"))
 
