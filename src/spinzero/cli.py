@@ -61,6 +61,9 @@ _RUNTIME_ERRORS = (
     NonUnitaryError, ConvergenceError, OSError,
 )
 
+# The tolerances a command reads; the others are library-only (see README).
+_CLI_TOLERANCES = ("assert", "corr", "inv", "norm", "zero")
+
 _PER_SITE_VIOLATION = 1e-3   # a generic per-site rotation moves entries O(1)
 _PER_SITE_QUORUM = 95        # out of 100 trials
 
@@ -447,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rotations", type=int, default=100,
                        help="rotation trials per invariance pattern")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                       help=f"tolerance override; names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
+                       help=f"tolerance override; names: {', '.join(_CLI_TOLERANCES)}")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     common(sub.add_parser("run", help="run a scenario file"), with_input=True)
@@ -465,9 +468,9 @@ def _parse_tolerances(pairs) -> dict[str, float]:
         if "=" not in pair:
             raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
-        if name not in DEFAULT_TOLERANCES:
+        if name not in _CLI_TOLERANCES:
             raise ValueError(f"unknown tolerance {name!r}; "
-                             f"names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
+                             f"names: {', '.join(_CLI_TOLERANCES)}")
         parsed = float(value)
         if not parsed > 0.0:
             raise ValueError(f"tolerance {name} must be positive, got {value}")

@@ -251,13 +251,10 @@ def correlation_check(state, a: SpectralObservable, b: SpectralObservable, *,
                       norm_tol: float = TOL_NORM) -> CorrelationReport:
     """Do outcomes of `a` determine outcomes of `b` on this state?
 
-    Both observables must carry disjoint `sites` bookkeeping (use `embed`).
+    The two observables must act on disjoint `sites` (place them with `embed`).
     Reports the joint distribution, the perfect-correlation verdict at
     corr_tol, and the best conditional certainty max_a max_b P(b | a).
     """
-    if a.sites is None or b.sites is None:
-        raise OverlappingSupportError(
-            "both observables need `sites` bookkeeping (build them via embed)")
     if set(a.sites) & set(b.sites):
         raise OverlappingSupportError(
             f"supports overlap on sites {sorted(set(a.sites) & set(b.sites))}")

@@ -16,13 +16,12 @@ import numpy as np
 
 MAX_QUBITS = 10
 
-# Default numerical tolerances.  Individually overridable per call; the CLI
-# exposes them as --tol NAME=VALUE.
+# Default numerical tolerances.  Most are overridable per call; the CLI's
+# --tol NAME=VALUE overrides the ones its commands read (see README).
 TOL_NORM = 1e-10       # state normalization
 TOL_ORTH = 1e-10       # orthonormality of eigenbases
 TOL_HERM = 1e-10       # hermiticity / unitarity deviation
 TOL_EIG = 1e-12        # eigensolver off-diagonal residual (relative)
-TOL_RECON = 1e-9       # spectral reconstruction residual
 TOL_CLUSTER = 1e-8     # eigenvalue clustering width
 TOL_INVARIANCE = 1e-9  # rotation-invariance verdicts
 TOL_CORR = 1e-9        # perfect-correlation verdicts
@@ -34,7 +33,6 @@ DEFAULT_TOLERANCES = {
     "orth": TOL_ORTH,
     "herm": TOL_HERM,
     "eig": TOL_EIG,
-    "recon": TOL_RECON,
     "cluster": TOL_CLUSTER,
     "inv": TOL_INVARIANCE,
     "corr": TOL_CORR,

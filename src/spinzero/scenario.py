@@ -735,7 +735,10 @@ def _collapse_value(value, node) -> np.ndarray:
     for m, (i, j) in enumerate(pairs):
         order[i - 1] = 2 * m + 1
         order[j - 1] = 2 * m + 2
-    return permute_qubits(singlet(len(pairs)), order)
+    try:
+        return permute_qubits(singlet(len(pairs)), order)
+    except CapacityError as exc:
+        raise ScenarioParseError(str(exc), node.line, node.col) from exc
 
 
 def _eval_oexpr(node, n_qubits: int | None) -> SpectralObservable:

@@ -155,13 +155,13 @@ def test_sample_rejects_state_between_measure_lines(capsys, tmp_path):
     assert err.startswith("runtime error: line 7: state 'b' (line 6)")
 
 
-def test_pair_product_over_ten_qubits_exit_3(capsys, tmp_path):
+def test_pair_product_over_ten_qubits_exit_2(capsys, tmp_path):
     path = tmp_path / "pairs.qsc"
     pairs = " * ".join(f"singlet({k},{k + 1})" for k in range(1, 12, 2))
     path.write_text(f"qubits 10\nstate s = {pairs}\n")
     code, out, err = run_cli(capsys, "run", str(path))
-    assert code == 3
-    assert err.startswith("runtime error:")
+    assert code == 2
+    assert err.startswith("parse error: line 2, column ")
 
 
 def test_refute_stages_are_the_standalone_audits(capsys):
@@ -196,6 +196,18 @@ def test_unknown_tolerance_rejected(capsys):
     code, out, err = run_cli(capsys, "refute", "--tol", "bogus=1")
     assert code == 2
     assert "unknown tolerance" in err
+
+
+def test_unread_tolerance_exit_2_without_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "spinzero.cli", "refute", "--tol", "eig=1e-3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("argument error: unknown tolerance 'eig'")
+    assert proc.stdout == ""
 
 
 def test_missing_input_file_exit_3(capsys, tmp_path):

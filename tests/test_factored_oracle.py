@@ -115,7 +115,7 @@ def test_mixed_program_with_site_less_observable():
     eye = np.eye(2)
     m = kron_chain(SIGMA_X, SIGMA_X, eye, eye) + 0.5 * kron_chain(eye, eye, SIGMA_Z, SIGMA_Z)
     site_less = from_matrix(m, name="m")
-    assert site_less.sites is None
+    assert site_less.sites == (1, 2, 3, 4)
     program = [pauli("y", 3, n), site_less, embed(observable_f(), [2, 4, 1, 3], n),
                pauli("x", 1, n)]
     projector_sets = [pauli_projectors("y", 3, n), spectral_projectors(m),

@@ -25,6 +25,7 @@ from spinzero.observables import (
     pauli,
     random_su2,
 )
+from spinzero.measurement import born_distribution
 from spinzero.states import basis_ket, spin_zero_basis
 
 from helpers import kron_chain
@@ -136,6 +137,26 @@ def test_spectral_observable_validates_inputs():
     with pytest.raises(ValueError):
         SpectralObservable(branches=((1.0, np.array([[1.0], [1.0]])),
                                      (-1.0, np.array([[0.0], [1.0]]))))  # not orthonormal
+
+
+def test_stored_bases_are_read_only():
+    with pytest.raises(ValueError):
+        pauli("z", 1, 1).local_branches[0][1][1] = 1.0
+    later = pauli("z", 2, 3)
+    assert born_distribution(basis_ket("000"), later).probability(1.0) == 1.0
+
+
+def test_collective_observables_are_built_once():
+    assert observable_f() is observable_f()
+    assert observable_g() is observable_g()
+    assert observable_f() is not observable_g()
+    assert not any(basis.flags.writeable for _, basis in observable_f().local_branches)
+
+
+def test_observable_without_sites_covers_its_register():
+    assert SpectralObservable(branches=((1.0, np.eye(4)),)).sites == (1, 2)
+    with pytest.raises(DimensionMismatchError):
+        from_matrix(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_is_function_of_product_observable():
