@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from spinzero.qcore import (
     max_abs,
     random_hermitian,
 )
+from spinzero import observables
 from spinzero.observables import (
     NonCommutingError,
     SpectralObservable,
@@ -26,7 +29,7 @@ from spinzero.observables import (
     random_su2,
 )
 from spinzero.measurement import born_distribution
-from spinzero.states import basis_ket, spin_zero_basis
+from spinzero.states import basis_ket, spin_zero_basis, total_spin_squared
 
 from helpers import kron_chain
 
@@ -280,3 +283,71 @@ def test_random_su2_haar_marginal():
     rng = np.random.default_rng(97)
     mean = np.mean([abs(_su2_from_rng(rng)[0, 0]) ** 2 for _ in range(100_000)])
     assert abs(mean - 0.5) < 0.01
+
+
+def _reference_su2(rng):
+    """One rotation drawn the per-trial way: four normals, np.linalg.norm."""
+    q = rng.standard_normal(4)
+    q = q / np.linalg.norm(q)
+    a, b, c, d = q
+    return np.array([[a + 1j * b, c + 1j * d],
+                     [-c + 1j * d, a - 1j * b]], dtype=complex)
+
+
+def _reference_deviation(m, factors):
+    v = reduce(np.kron, factors[1:], np.array(factors[0], dtype=complex))
+    return float(np.max(np.abs(v @ m @ v.conj().T - m)))
+
+
+def _reference_deviations(obs, pattern, trials, seed):
+    """check_invariance computed one trial at a time, as a plain loop."""
+    n = obs.n_qubits
+    m = obs.matrix()
+    rng = np.random.default_rng(seed)
+    deviations = []
+    for _ in range(trials):
+        if pattern == "equal":
+            factors = [_reference_su2(rng)] * n
+        else:
+            factors = [_reference_su2(rng) for _ in range(n)]
+        deviations.append(_reference_deviation(m, factors))
+    return tuple(deviations)
+
+
+@pytest.mark.parametrize("build", [
+    observable_f,
+    observable_g,
+    lambda: pauli("z", 1, 8),
+    lambda: from_matrix(total_spin_squared(5)),
+], ids=["F", "G", "z1-of-8", "S2-5"])
+def test_batched_invariance_bits_equal_per_trial_reference(build):
+    obs = build()
+    batch = max(1, observables._INVARIANCE_BATCH_BYTES // obs.matrix().nbytes)
+    assert 25 > batch  # 25 trials take more than one batch
+    for pattern, seed in (("equal", 5), ("per_site", 7)):
+        for trials in (1, 25):
+            report = check_invariance(obs, pattern=pattern, trials=trials, seed=seed)
+            assert report.deviations == _reference_deviations(obs, pattern, trials, seed)
+            assert report.max_deviation == max(report.deviations)
+    rng = np.random.default_rng(3)
+    u = _reference_su2(rng)
+    m = obs.matrix()
+    report = check_invariance(obs, u, pattern="equal")
+    assert report.deviations == (_reference_deviation(m, [u] * obs.n_qubits),)
+    factors = [_reference_su2(rng) for _ in range(obs.n_qubits)]
+    report = check_invariance(obs, factors, pattern="per_site")
+    assert report.deviations == (_reference_deviation(m, factors),)
+
+
+def test_random_su2_bits_equal_single_draw_reference():
+    for seed in range(200):
+        assert np.array_equal(random_su2(seed), _reference_su2(np.random.default_rng(seed)))
+
+
+def test_from_matrix_separates_branches_at_its_cluster_tol():
+    obs = from_matrix(np.diag([1.0, 1.0 + 1e-9]), cluster_tol=1e-12)
+    assert obs.eigenvalues == (1.0 + 1e-9, 1.0)
+    assert from_matrix(np.diag([1.0, 1.0 + 1e-9])).eigenvalues == (1.0 + 5e-10,)
+    with pytest.raises(ValueError, match="not separated"):
+        # closer than the 1e-12 window that matches a requested eigenvalue
+        from_matrix(np.diag([1.0, 1.0 + 1e-13]), cluster_tol=1e-14)
