@@ -5,16 +5,16 @@ self-contained five-stage audit pipeline, `sample` Monte-Carlo-samples a
 scenario's measurement program, and `audit-function` / `audit-invariance`
 run the two standalone audits.  Reports are deterministic for a fixed seed;
 exit codes are the only pass/fail channel (0 ok, 1 failed assertion or
-verdict, 2 parse error, 3 runtime error).
+verdict, 2 parse or argument error, 3 runtime error).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import product
 
 from .qcore import (
@@ -61,9 +61,6 @@ _RUNTIME_ERRORS = (
     NonUnitaryError, ConvergenceError, OSError,
 )
 
-# The tolerances a command reads; the others are library-only (see README).
-_CLI_TOLERANCES = ("assert", "corr", "inv", "norm", "zero")
-
 _PER_SITE_VIOLATION = 1e-3   # a generic per-site rotation moves entries O(1)
 _PER_SITE_QUORUM = 95        # out of 100 trials
 
@@ -72,20 +69,6 @@ RECONSTRUCTION_NOTE = (
     "defining overlap checks (0 and 1/12 against |00++>); any rotation inside "
     "the spin-zero subspace passes the same checks, so branch-resolved values "
     "such as the 3/4 conditional depend on this choice of pair.")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    seed: int = 0
-    trials: int = 100_000
-    rotations: int = 100
-    tolerances: dict[str, float] = field(default_factory=dict)
-    format: str = "text"
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +118,13 @@ def _distribution_rows(distribution) -> list[dict]:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_run(cfg: RunConfig):
-    scenario = parse_scenario_file(cfg.input)
-    result = run_scenario(scenario, assert_tol=cfg.tol("assert"),
-                          zero_tol=cfg.tol("zero"), norm_tol=cfg.tol("norm"))
+def cmd_run(ns: argparse.Namespace):
+    scenario = parse_scenario_file(ns.input)
+    result = run_scenario(scenario, assert_tol=ns.tol["assert"],
+                          zero_tol=ns.tol["zero"], norm_tol=ns.tol["norm"])
     report = {
         "command": "run",
-        "input": cfg.input,
+        "input": ns.input,
         "measurements": [
             {"observables": list(m.names),
              "outcomes": outcome_text(tuple(float(s) for s in m.signs)),
@@ -196,7 +179,7 @@ def _invariance_summary(obs, pattern: str, trials: int, seed: int, tol: float) -
             "violations": violations}
 
 
-def cmd_refutation(cfg: RunConfig):
+def cmd_refutation(ns: argparse.Namespace):
     pair = spin_zero_basis()
     ket = basis_ket("00++")
     state = eta_tilde()
@@ -211,7 +194,7 @@ def cmd_refutation(cfg: RunConfig):
     }
 
     protocol = run_claimed_protocol(state, (1, 1, 1, 1),
-                                    corr_tol=cfg.tol("corr"), zero_tol=cfg.tol("zero"))
+                                    corr_tol=ns.tol["corr"], zero_tol=ns.tol["zero"])
     stage2 = {
         "name": "claimed protocol on the post-measurement state",
         "outcomes": outcome_text(tuple(float(s) for s in protocol.outcome_string)),
@@ -223,7 +206,7 @@ def cmd_refutation(cfg: RunConfig):
         "passed": protocol.claimed_value == 1.0 and protocol.verdict == "refuted",
     }
 
-    _, audit = cmd_audit_function(cfg)
+    _, audit = cmd_audit_function(ns)
     stage3 = {
         "name": "functional dependence on single-site outcomes",
         "is_function": audit["is_function"],
@@ -231,7 +214,7 @@ def cmd_refutation(cfg: RunConfig):
         "passed": audit["passed"],
     }
 
-    _, invariance = cmd_audit_invariance(cfg)
+    _, invariance = cmd_audit_invariance(ns)
     stage4 = {
         "name": "rotation invariance (equal yes, per-site no)",
         "results": invariance["results"],
@@ -240,7 +223,7 @@ def cmd_refutation(cfg: RunConfig):
 
     corr = correlation_check(state, embed(observable_f(), [1, 2, 3, 4], 8),
                              embed(observable_g(), [5, 6, 7, 8], 8),
-                             corr_tol=cfg.tol("corr"), zero_tol=cfg.tol("zero"))
+                             corr_tol=ns.tol["corr"], zero_tol=ns.tol["zero"])
     stage5 = {
         "name": "correlation of the two collective observables",
         "perfectly_correlated": corr.perfectly_correlated,
@@ -252,8 +235,8 @@ def cmd_refutation(cfg: RunConfig):
     failed = [k + 1 for k, st in enumerate(stages) if not st["passed"]]
     report = {
         "command": "refute",
-        "seed": cfg.seed,
-        "rotations": cfg.rotations,
+        "seed": ns.seed,
+        "rotations": ns.rotations,
         "stages": [{"index": k + 1, **st} for k, st in enumerate(stages)],
         "note": RECONSTRUCTION_NOTE,
         "failed_stage": failed[0] if failed else None,
@@ -304,8 +287,8 @@ def _render_refutation(report) -> list[str]:
     return lines
 
 
-def cmd_sample(cfg: RunConfig):
-    scenario = parse_scenario_file(cfg.input)
+def cmd_sample(ns: argparse.Namespace):
+    scenario = parse_scenario_file(ns.input)
     current = start = None
     program_names: list[str] = []
     for st in scenario.statements:
@@ -323,13 +306,13 @@ def cmd_sample(cfg: RunConfig):
         raise ScenarioRuntimeError("scenario contains no measure line to sample")
     state = scenario.states[start.name]
     program = [scenario.observables[name] for name in program_names]
-    exact = sequence_distribution(state, program, norm_tol=cfg.tol("norm"))
-    counts = _draw_counts(exact.entries, cfg.trials, cfg.seed)
+    exact = sequence_distribution(state, program, norm_tol=ns.tol["norm"])
+    counts = _draw_counts(exact.entries, ns.trials, ns.seed)
     rows = []
     for label, p in exact.entries:
         count = counts.get(label, 0)
-        freq = count / cfg.trials
-        sigma = math.sqrt(p * (1.0 - p) / cfg.trials)
+        freq = count / ns.trials
+        sigma = math.sqrt(p * (1.0 - p) / ns.trials)
         if sigma > 0.0:
             deviation = abs(freq - p) / sigma
         else:
@@ -339,11 +322,11 @@ def cmd_sample(cfg: RunConfig):
                      "sigma_deviation": deviation})
     report = {
         "command": "sample",
-        "input": cfg.input,
+        "input": ns.input,
         "state": start.name,
         "observables": program_names,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
+        "trials": ns.trials,
+        "seed": ns.seed,
         "rows": rows,
     }
     if any(obs.name in ("F", "G") for obs in program):
@@ -363,7 +346,7 @@ def _render_sample(report) -> list[str]:
     return lines
 
 
-def cmd_audit_function(cfg: RunConfig):
+def cmd_audit_function(ns: argparse.Namespace):
     audit = dirac_audit()
     report = {
         "command": "audit-function",
@@ -389,18 +372,18 @@ def _render_audit_function(report) -> list[str]:
     return lines
 
 
-def cmd_audit_invariance(cfg: RunConfig):
-    inv_tol = cfg.tol("inv")
-    rot = cfg.rotations
+def cmd_audit_invariance(ns: argparse.Namespace):
+    inv_tol = ns.tol["inv"]
+    rot = ns.rotations
     pairs = product(("equal", "per_site"), (observable_f(), observable_g()))
-    results = [_invariance_summary(obs, pattern, rot, cfg.seed + k, inv_tol)
+    results = [_invariance_summary(obs, pattern, rot, ns.seed + k, inv_tol)
                for k, (pattern, obs) in enumerate(pairs)]
     quorum = math.ceil(_PER_SITE_QUORUM * rot / 100)
     passed = all(r["invariant"] for r in results if r["pattern"] == "equal") and \
         all(r["violations"] >= quorum for r in results if r["pattern"] == "per_site")
     report = {
         "command": "audit-invariance",
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "rotations": rot,
         "results": results,
         "passed": passed,
@@ -424,85 +407,101 @@ def _render_audit_invariance(report) -> list[str]:
     return lines
 
 
-_DISPATCH = {
-    "run": (cmd_run, _render_run),
-    "refute": (cmd_refutation, _render_refutation),
-    "sample": (cmd_sample, _render_sample),
-    "audit-function": (cmd_audit_function, _render_audit_function),
-    "audit-invariance": (cmd_audit_invariance, _render_audit_invariance),
+# ---------------------------------------------------------------------------
+# argument handling: one declaration feeds both the parser and the checks
+
+# Count flag: default, lowest and highest accepted value, help.  numpy's
+# multinomial draw takes the trial count as a signed 64-bit integer.
+_COUNTS = {
+    "seed": (0, 0, math.inf, "seed of the random draws"),
+    "trials": (100_000, 1, 2**63 - 1, "Monte Carlo shots"),
+    "rotations": (100, 1, math.inf, "rotation trials per invariance pattern"),
+}
+
+# Command: (run, render, help, takes a scenario file, the count flags it
+# reads, the `--tol` names it reads).
+_COMMANDS = {
+    "run": (cmd_run, _render_run, "run a scenario file",
+            True, (), ("assert", "zero", "norm")),
+    "refute": (cmd_refutation, _render_refutation, "run the built-in five-stage audit",
+               False, ("seed", "rotations"), ("corr", "zero", "inv")),
+    "sample": (cmd_sample, _render_sample, "Monte Carlo sample a scenario's program",
+               True, ("seed", "trials"), ("norm",)),
+    "audit-function": (cmd_audit_function, _render_audit_function,
+                       "functional-dependence audit of F", False, (), ()),
+    "audit-invariance": (cmd_audit_invariance, _render_audit_invariance,
+                         "rotation-invariance audit of F and G",
+                         False, ("seed", "rotations"), ("inv",)),
 }
 
 
-# ---------------------------------------------------------------------------
-# argument handling
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError for a bad command line, so `main` returns 2."""
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise ValueError(message)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
         prog="spinzero",
         description="Statevector measurement-semantics engine and protocol auditor")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_input=False):
-        if with_input:
+    for name, (_, _, text, takes_file, counts, tolerances) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if takes_file:
             p.add_argument("input", help="scenario file (.qsc)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--rotations", type=int, default=100,
-                       help="rotation trials per invariance pattern")
-        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                       help=f"tolerance override; names: {', '.join(_CLI_TOLERANCES)}")
+        for flag in counts:
+            default, _, _, hint = _COUNTS[flag]
+            p.add_argument(f"--{flag}", type=int, default=default, help=hint)
+        if tolerances:
+            p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
+                           help=f"tolerance override; names: {', '.join(tolerances)}")
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    common(sub.add_parser("run", help="run a scenario file"), with_input=True)
-    common(sub.add_parser("refute", help="run the built-in five-stage audit"))
-    common(sub.add_parser("sample", help="Monte Carlo sample a scenario's program"),
-           with_input=True)
-    common(sub.add_parser("audit-function", help="functional-dependence audit of F"))
-    common(sub.add_parser("audit-invariance", help="rotation-invariance audit of F and G"))
     return parser
 
 
-def _parse_tolerances(pairs) -> dict[str, float]:
-    overrides = {}
+def _tolerances(pairs, names) -> dict[str, float]:
+    """The defaults of `names`, overridden by `--tol NAME=VALUE` pairs."""
+    tolerances = {name: DEFAULT_TOLERANCES[name] for name in names}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
-        if name not in _CLI_TOLERANCES:
-            raise ValueError(f"unknown tolerance {name!r}; "
-                             f"names: {', '.join(_CLI_TOLERANCES)}")
+        if name not in names:
+            raise ValueError(f"unknown tolerance {name!r}; names: {', '.join(names)}")
         parsed = float(value)
         if not parsed > 0.0:
             raise ValueError(f"tolerance {name} must be positive, got {value}")
-        overrides[name] = parsed
-    return overrides
+        tolerances[name] = parsed
+    return tolerances
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
     try:
-        tolerances = _parse_tolerances(ns.tol)
+        ns = _parser().parse_args(argv)
+        run, render, _, _, counts, tolerances = _COMMANDS[ns.command]
+        ns.tol = _tolerances(getattr(ns, "tol", ()), tolerances)
+        for flag in counts:
+            _, low, high, _ = _COUNTS[flag]
+            value = getattr(ns, flag)
+            if value < low:
+                raise ValueError(f"--{flag} must be >= {low}")
+            if value > high:
+                raise ValueError(f"--{flag} must be <= {high}")
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
-    for flag, value, low in (("--seed", ns.seed, 0), ("--trials", ns.trials, 1),
-                             ("--rotations", ns.rotations, 1)):
-        if value < low:
-            print(f"argument error: {flag} must be >= {low}", file=sys.stderr)
-            return 2
-    cfg = RunConfig(command=ns.command, input=getattr(ns, "input", None),
-                    seed=ns.seed, trials=ns.trials, rotations=ns.rotations,
-                    tolerances=tolerances, format=ns.format)
-    command, render = _DISPATCH[cfg.command]
     try:
-        code, report = command(cfg)
+        code, report = run(ns)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except _RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    if cfg.format == "json":
+    if ns.format == "json":
         print(json.dumps(report, indent=2))
     else:
         print("\n".join(render(report)))

@@ -311,17 +311,17 @@ def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, herm_tol: float = TOL_HE
                 name: str = "") -> SpectralObservable:
     """Spectral observable from a Hermitian matrix.
 
-    Runs the Jacobi eigensolver and groups eigenvalues closer than
-    cluster_tol into one eigenspace; each branch eigenvalue is the cluster
-    mean.  The constructor checks branch separation at the same
-    cluster_tol.
+    Runs the Jacobi eigensolver and starts a new eigenspace wherever two
+    consecutive sorted eigenvalues lie more than cluster_tol apart.  Each
+    branch eigenvalue is its cluster's mean, which lies inside the cluster,
+    so adjacent branches pass the constructor's check at the same cluster_tol.
     """
     decomp = hermitian_eigen(as_operator(m), herm_tol=herm_tol)
     eigenvalues = decomp.eigenvalues
     branches = []
     start = 0
     for k in range(1, len(eigenvalues) + 1):
-        if k == len(eigenvalues) or eigenvalues[start] - eigenvalues[k] > cluster_tol:
+        if k == len(eigenvalues) or eigenvalues[k - 1] - eigenvalues[k] > cluster_tol:
             cluster = eigenvalues[start:k]
             branches.append((float(np.mean(cluster)), decomp.eigenvectors[:, start:k]))
             start = k

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    IDENTITY_2,
     MAX_QUBITS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     CapacityError,
     _kron_all,
     as_state,
@@ -138,15 +134,19 @@ def total_spin_squared(n: int) -> np.ndarray:
     """The operator (sum_i vec(sigma_i)/2)^2 on n qubits.
 
     Its kernel is the total-spin-zero subspace; for n = 4 that kernel is
-    two-dimensional and certifies the spin_zero_basis construction.
+    two-dimensional and certifies the spin_zero_basis construction.  Built
+    from sigma_i . sigma_j = 2 SWAP_ij - I as n(4 - n)/4 I + sum_{i<j} SWAP_ij,
+    where SWAP_ij permutes basis indices; every entry is a multiple of 1/4,
+    so the sums are exact.
     """
     if not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     dim = 2 ** n
-    s2 = 0.75 * n * np.eye(dim, dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-                s2 += 0.5 * _kron_all(sigma if site in (i, j) else IDENTITY_2
-                                      for site in range(1, n + 1))
+    # not eye() * c: a negative c (n > 4) would write -0.0 off the diagonal
+    s2 = np.diag(np.full(dim, n * (4 - n) / 4, dtype=complex))
+    index = np.arange(dim)
+    for i in range(n):
+        for j in range(i + 1, n):
+            differ = ((index >> i) ^ (index >> j)) & 1
+            s2[index, index ^ (differ * ((1 << i) | (1 << j)))] += 1.0
     return s2

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +21,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """`python -m spinzero.cli` in a new process, on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "spinzero.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_rational_label():
@@ -168,7 +180,7 @@ def test_refute_stages_are_the_standalone_audits(capsys):
     flags = ["--seed", "5", "--rotations", "10", "--format", "json"]
     _, raw, _ = run_cli(capsys, "refute", *flags)
     stages = json.loads(raw)["stages"]
-    _, raw, _ = run_cli(capsys, "audit-function", *flags)
+    _, raw, _ = run_cli(capsys, "audit-function", "--format", "json")
     function = json.loads(raw)
     _, raw, _ = run_cli(capsys, "audit-invariance", *flags)
     invariance = json.loads(raw)
@@ -199,14 +211,10 @@ def test_unknown_tolerance_rejected(capsys):
 
 
 def test_unread_tolerance_exit_2_without_traceback():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "spinzero.cli", "refute", "--tol", "eig=1e-3"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_fresh("refute", "--tol", "eig=1e-3")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("argument error: unknown tolerance 'eig'")
+    assert proc.stderr == "argument error: unknown tolerance 'eig'; names: corr, zero, inv\n"
     assert proc.stdout == ""
 
 
@@ -220,13 +228,10 @@ def test_missing_input_file_exit_3(capsys, tmp_path):
     ["audit-invariance", "--rotations", "-3"],
     ["audit-function", "--seed", "-1"],
     ["sample", str(REFUTATION_SCENARIO), "--seed", "-1"],
+    ["sample", str(REFUTATION_SCENARIO), "--trials", "9223372036854775808"],
 ])
 def test_bad_counts_exit_2_without_traceback(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "spinzero.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_fresh(*argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("argument error:")
@@ -236,12 +241,119 @@ def test_bad_counts_exit_2_without_traceback(argv):
 def test_undecodable_scenario_exit_2_without_traceback(tmp_path):
     path = tmp_path / "latin1.qsc"
     path.write_bytes(b"qubits 1\nstate a = |0>\n# caf\xe9\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "spinzero.cli", "run", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_fresh("run", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "parse error: line 3, column 6: invalid UTF-8 byte 0xe9\n"
     assert proc.stdout == ""
+
+
+# The flags and `--tol` names each command reads; every other one is exit 2.
+COMMAND_FLAGS = {
+    "run": ({"--tol", "--format"}, ("assert", "zero", "norm")),
+    "refute": ({"--seed", "--rotations", "--tol", "--format"}, ("corr", "zero", "inv")),
+    "sample": ({"--seed", "--trials", "--tol", "--format"}, ("norm",)),
+    "audit-function": ({"--format"}, ()),
+    "audit-invariance": ({"--seed", "--rotations", "--tol", "--format"}, ("inv",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_only_the_flags_the_command_reads(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    flags, names = COMMAND_FLAGS[command]
+    assert set(re.findall(r"--\w+", out)) - {"--help"} == flags
+    listed = re.search(r"names: ([a-z, ]+)", out)
+    assert (listed.group(1) if listed else "") == ", ".join(names)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["audit-function", "--seed", "5"], "unrecognized arguments: --seed 5"),
+    (["run", str(REFUTATION_SCENARIO), "--rotations", "4"],
+     "unrecognized arguments: --rotations 4"),
+    (["refute", "--trials", "9"], "unrecognized arguments: --trials 9"),
+    (["run", str(REFUTATION_SCENARIO), "--tol", "inv=1e-3"],
+     "unknown tolerance 'inv'; names: assert, zero, norm"),
+    (["refute", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ([], "the following arguments are required: command"),
+    (["sample", str(REFUTATION_SCENARIO), "--trials", "9223372036854775808"],
+     "--trials must be <= 9223372036854775807"),
+])
+def test_bad_command_line_is_one_argument_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"argument error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_parser_reuse_keeps_no_tolerance_between_calls(capsys):
+    code, _, _ = run_cli(capsys, "refute", "--rotations", "25", "--tol", "inv=1e-16")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "refute", "--rotations", "25", "--format", "json")
+    assert code == 0
+    proc = run_fresh("refute", "--rotations", "25", "--format", "json")
+    assert proc.returncode == 0
+    assert out == proc.stdout
+
+
+def _contract_inputs(tmp_path) -> list[str]:
+    """The shipped scenario, byte-mutated copies, a missing path and a directory."""
+    text = REFUTATION_SCENARIO.read_bytes()
+    rng = random.Random(0)
+    paths = [str(REFUTATION_SCENARIO)] * 5 + [str(tmp_path / "missing.qsc"), str(tmp_path)]
+    for k in range(8):
+        data = bytearray(text)
+        for _ in range(1 + k % 3):
+            data[rng.randrange(len(data))] = rng.choice(b"0189+-|>()=,; \n\xe9")
+        if k == 0:
+            data[rng.randrange(len(data))] = 0xFF  # never valid UTF-8
+        path = tmp_path / f"mutated{k}.qsc"
+        path.write_bytes(bytes(data))
+        paths.append(str(path))
+    return paths
+
+
+def test_exit_code_contract(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tol_names = ["assert", "corr", "inv", "norm", "zero", "eig", "herm", "bogus", ""]
+    tol_values = ["1e-3", "1e-9", "1e-16", "inf", "0", "-1", "nan", "abc", ""]
+    values = {
+        "--seed": st.sampled_from(["0", "7", "-1", "x", "9223372036854775808", "1" + "0" * 40]),
+        "--trials": st.sampled_from(["1", "1000", "0", "-5", "1.5",
+                                     "9223372036854775807", "9223372036854775808"]),
+        # small, so that one example stays fast
+        "--rotations": st.sampled_from(["1", "3", "50", "0", "-2", "x"]),
+        "--format": st.sampled_from(["text", "json", "junk"]),
+    }
+    every_flag = sorted(values) + ["--tol"]
+    inputs = _contract_inputs(tmp_path)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+        # every name can appear; the command's own are drawn more often
+        own_flags, own_tols = COMMAND_FLAGS[command]
+        names = data.draw(st.lists(st.sampled_from(sorted(own_flags) + every_flag), max_size=3))
+        tol = st.builds("{}={}".format, st.sampled_from(list(own_tols) + tol_names),
+                        st.sampled_from(tol_values)) | st.just("inv")
+        flags = [(name, data.draw(values.get(name, tol))) for name in names]
+        argv = [command] + [x for pair in flags for x in pair]
+        # one argv in four gives a file to a command that takes none, or omits it
+        misplaced = data.draw(st.integers(0, 3)) == 3
+        if (command in ("run", "sample")) != misplaced:
+            argv.insert(1, data.draw(st.sampled_from(inputs)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        formats = [value for name, value in flags if name == "--format"]
+        if code == 1 and formats and formats[-1] == "json":
+            assert json.loads(out.getvalue())["passed"] is False, argv
+
+    check()

@@ -351,3 +351,11 @@ def test_from_matrix_separates_branches_at_its_cluster_tol():
     with pytest.raises(ValueError, match="not separated"):
         # closer than the 1e-12 window that matches a requested eigenvalue
         from_matrix(np.diag([1.0, 1.0 + 1e-13]), cluster_tol=1e-14)
+
+
+def test_from_matrix_clusters_on_consecutive_gaps():
+    # Each gap is within cluster_tol but the spread is not: one branch whose
+    # mean stays separated from the next one.
+    obs = from_matrix(np.diag([1.0, 1.0 - 0.9e-8, 1.0 - 1.05e-8, 0.0]))
+    assert obs.eigenvalues == pytest.approx((1.0 - 0.65e-8, 0.0), abs=1e-15)
+    assert [basis.shape[1] for _, basis in obs.branches] == [3, 1]

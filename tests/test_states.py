@@ -192,6 +192,21 @@ def test_total_spin_four_qubits_multiplicities():
     assert counts == {0.0: 2, 2.0: 9, 6.0: 5}
 
 
+def test_total_spin_equals_sum_of_pauli_products():
+    paulis = [np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex)]
+    for n in range(1, 7):
+        # (1/4) sum_{i,j} sigma_i . sigma_j = 3n/4 I + (1/2) sum_{i<j} sigma_i . sigma_j
+        expected = 0.75 * n * np.eye(2 ** n, dtype=complex)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for sigma in paulis:
+                    expected += 0.5 * kron_chain(*(sigma if k in (i, j) else np.eye(2)
+                                                   for k in range(n)))
+        assert np.array_equal(total_spin_squared(n), expected)
+
+
 def test_total_spin_is_hermitian():
     s2 = total_spin_squared(3)
     assert max_abs(s2 - s2.conj().T) < 1e-12
