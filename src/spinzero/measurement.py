@@ -108,8 +108,11 @@ def _require_measurable(state, obs: SpectralObservable, norm_tol: float) -> np.n
     if state.shape[0] != obs.dim:
         raise DimensionMismatchError(
             f"state dim {state.shape[0]} does not match observable dim {obs.dim}")
-    if abs(norm(state) - 1.0) > norm_tol:
-        raise UnnormalizedStateError(f"state norm is {norm(state):.12g}, expected 1")
+    deviation = abs(norm(state) - 1.0)
+    if deviation > norm_tol:
+        raise UnnormalizedStateError(
+            f"state norm deviates from 1 by {deviation:.3g}, "
+            f"more than the norm tolerance {norm_tol:g}")
     return state
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -229,50 +229,98 @@ def _offdiag_norm(h: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _jacobi_rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One cyclic-Jacobi step zeroing h[p, q] (and h[q, p]) in place."""
-    hpq = h[p, q]
-    habs = abs(hpq)
-    if habs == 0.0:
-        return
-    phase = hpq / habs
-    app = h[p, p].real
-    aqq = h[q, q].real
-    theta = 0.5 * math.atan2(2.0 * habs, aqq - app)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    # Combined rotation J = diag(phase, 1) @ [[c, s], [-s, c]].
-    jpp = c * phase
-    jpq = s * phase
-    jqp = -s
-    jqq = c
-    colp = h[:, p] * jpp + h[:, q] * jqp
-    colq = h[:, p] * jpq + h[:, q] * jqq
-    h[:, p] = colp
-    h[:, q] = colq
-    rowp = np.conj(jpp) * h[p, :] + np.conj(jqp) * h[q, :]
-    rowq = np.conj(jpq) * h[p, :] + np.conj(jqq) * h[q, :]
-    h[p, :] = rowp
-    h[q, :] = rowq
-    h[p, q] = 0.0
-    h[q, p] = 0.0
-    h[p, p] = h[p, p].real
-    h[q, q] = h[q, q].real
-    vcolp = v[:, p] * jpp + v[:, q] * jqp
-    vcolq = v[:, p] * jpq + v[:, q] * jqq
-    v[:, p] = vcolp
-    v[:, q] = vcolq
+@cache
+def _tournament(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The rounds of a round-robin tournament on 0..n-1 (n >= 2), as (P, Q)
+    index arrays of disjoint pairs; every pair meets in exactly one round.
+    For odd n, whoever meets player n sits the round out.  The arrays are
+    shared, so read-only."""
+    players = list(range(n + n % 2))
+    half = len(players) // 2
+    rounds = []
+    for _ in range(len(players) - 1):
+        pairs = [(a, b) for a, b in zip(players[:half], reversed(players[half:]))
+                 if max(a, b) < n]
+        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+        p.flags.writeable = q.flags.writeable = False
+        rounds.append((p, q))
+        players = [players[0], players[-1], *players[1:-1]]
+    return tuple(rounds)
+
+
+def _exact_blocks(h: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the exact nonzero pattern
+    of h.  A rotation inside one component never touches another, so each
+    can be diagonalized on its own."""
+    reach = (h != 0) | np.eye(h.shape[0], dtype=bool)
+    while True:
+        paths = reach.astype(float)
+        closure = (paths @ paths) > 0
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    placed = np.zeros(h.shape[0], dtype=bool)
+    blocks = []
+    for i in range(h.shape[0]):
+        if not placed[i]:
+            block = np.flatnonzero(reach[i])
+            placed[block] = True
+            blocks.append(block)
+    return blocks
+
+
+def _jacobi_sweep(hv: np.ndarray, skip: float) -> None:
+    """One sweep, in place, over a block h stacked on its eigenvector rows v
+    (hv = [h; v]).  Every index pair of h meets once, a tournament round of
+    disjoint pairs at a time, and each pair above `skip` is rotated to zero:
+    a rotation acts on the columns of h and v and on the rows of h."""
+    dim = hv.shape[1]
+    h = hv[:dim]
+    for p, q in _tournament(dim):
+        hpq = h[p, q]
+        active = np.abs(hpq) > skip
+        if not active.any():
+            continue
+        if not active.all():
+            p, q, hpq = p[active], q[active], hpq[active]
+        # Per pair, J = diag(phase, 1) @ [[c, s], [-s, c]] with the inner
+        # angle |theta| <= pi/4 and t = tan(theta): the symmetric 2x2 Schur
+        # step.  The outer angle can stall the iteration.
+        r = np.abs(hpq)
+        diag = h.diagonal().real
+        app, aqq = diag[p], diag[q]
+        tau = (aqq - app) / (2.0 * r)
+        t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        phase = hpq / r
+        jpp, jpq = c * phase, s * phase
+        # Columns, then rows: h <- J^H h J and v <- v J, from copies of the
+        # old columns and rows.
+        colp, colq = hv[:, p], hv[:, q]
+        hv[:, p] = colp * jpp - colq * s
+        hv[:, q] = colp * jpq + colq * c
+        rowp, rowq = h[p], h[q]
+        h[p] = jpp.conj()[:, None] * rowp - s[:, None] * rowq
+        h[q] = jpq.conj()[:, None] * rowp + c[:, None] * rowq
+        h[p, q] = 0.0
+        h[q, p] = 0.0
+        h[p, p] = app - t * r
+        h[q, q] = aqq + t * r
 
 
 def hermitian_eigen(m: np.ndarray, *, herm_tol: float = TOL_HERM,
                     eig_tol: float = TOL_EIG,
                     max_sweeps: int = 100) -> SpectralDecomposition:
-    """Cyclic Jacobi eigensolver for complex Hermitian matrices.
+    """Jacobi eigensolver for complex Hermitian matrices.
 
-    Sweeps 2x2 unitary sub-rotations until the off-diagonal Frobenius norm
+    Splits the matrix into the connected blocks of its exact nonzero
+    pattern, then sweeps each block with 2x2 unitary sub-rotations in
+    round-robin order: each round rotates disjoint pairs at once, and a
+    sweep meets every pair once.  Stops when the off-diagonal Frobenius norm
     drops below eig_tol relative to the matrix scale.  Raises
     NonHermitianError for non-Hermitian input and ConvergenceError (with the
-    final residual) if the sweep cap is hit first.
+    final residual) if max_sweeps sweeps are not enough.
     """
     a = as_operator(m)
     herm_dev = max_abs(a - a.conj().T)
@@ -284,14 +332,20 @@ def hermitian_eigen(m: np.ndarray, *, herm_tol: float = TOL_HERM,
     scale = max(1.0, float(np.linalg.norm(h)))
     target = eig_tol * scale
     skip = target / max(dim * dim, 1)
-    for _ in range(max_sweeps):
-        if _offdiag_norm(h) <= target:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                if abs(h[p, q]) > skip:
-                    _jacobi_rotate(h, v, p, q)
     residual = _offdiag_norm(h)
+    if residual > target:
+        blocks = [np.ix_(idx, idx) for idx in _exact_blocks(h) if len(idx) > 1]
+        stacks = [np.vstack([h[ix], v[ix]]) for ix in blocks]
+        for _ in range(max_sweeps):
+            for hv in stacks:
+                _jacobi_sweep(hv, skip)
+            # Entries outside the blocks are exact zeros.
+            residual = math.hypot(*(_offdiag_norm(hv[:hv.shape[1]]) for hv in stacks))
+            if residual <= target:
+                break
+        for ix, hv in zip(blocks, stacks):
+            h[ix] = hv[:hv.shape[1]]
+            v[ix] = hv[hv.shape[1]:]
     if residual > target:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge after {max_sweeps} sweeps "

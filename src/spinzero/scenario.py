@@ -603,10 +603,14 @@ def _elaborate(statements) -> Scenario:
                 raise ScenarioParseError(
                     f"qubit count must be in 1..{MAX_QUBITS}, got {st.n}", st.line, 1)
             n_qubits = st.n
+            for name, vec in states.items():
+                _require_register_width(name, vec, n_qubits, st.line)
         elif isinstance(st, StateStmt):
             if st.name in states:
                 raise ScenarioParseError(f"state {st.name!r} is already bound", st.line, 1)
             vec = _eval_top_state(st, states)
+            if n_qubits is not None:
+                _require_register_width(st.name, vec, n_qubits, st.line)
             states[st.name] = vec
             have_state = True
         elif isinstance(st, ObsStmt):
@@ -633,6 +637,14 @@ def _elaborate(statements) -> Scenario:
             _resolve_obs(st.name, observables, st.line)
     return Scenario(n_qubits=n_qubits, statements=statements,
                     states=states, observables=observables)
+
+
+def _require_register_width(name: str, vec: np.ndarray, n_qubits: int, line: int):
+    width = num_qubits(vec)
+    if width != n_qubits:
+        raise ScenarioParseError(
+            f"state {name!r} is a {width}-qubit state on a {n_qubits}-qubit register",
+            line, 1)
 
 
 def _require_program_context(st, have_state: bool):

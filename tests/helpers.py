@@ -67,6 +67,9 @@ MALFORMED_INPUTS = [
     ("state x = 1/0 |0>\n", 1),                   # zero denominator
     ("state x = 2 |0>\n", 1),                     # non-unit state, no normalize
     ("frobnicate 12\n", 1),                       # unknown statement
+    ("qubits 2\nstate s = |0>\n", 2),              # state narrower than the register
+    ("qubits 2\nstate s = |000>\n", 2),            # state wider than the register
+    ("state s = |0>\nqubits 2\n", 2),              # register declared after a state
 ]
 
 

@@ -82,10 +82,28 @@ def test_run_parse_error_exit_2(capsys, tmp_path):
 
 def test_run_runtime_error_exit_3(capsys, tmp_path):
     path = tmp_path / "mismatch.qsc"
-    path.write_text("qubits 4\nstate s = |00>\nobs f = F\nmeasure f outcomes +\n")
+    path.write_text("qubits 2\nstate s = |00>\nobs f = F\nmeasure f outcomes +\n")
     code, out, err = run_cli(capsys, "run", str(path))
     assert code == 3
     assert "runtime error" in err
+
+
+def test_state_narrower_than_register_exit_2(capsys, tmp_path):
+    path = tmp_path / "narrow.qsc"
+    path.write_text("qubits 2\nstate s = |0>\nobs z = sigma z 1\nreport z\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert "line 2, column 1: state 's' is a 1-qubit state on a 2-qubit register" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+def test_norm_error_reports_deviation_and_tolerance(capsys, command):
+    code, out, err = run_cli(capsys, command, str(REFUTATION_SCENARIO),
+                             "--tol", "norm=1e-300")
+    assert (code, out) == (3, "")
+    match = re.search(r"state norm deviates from 1 by (\S+), "
+                      r"more than the norm tolerance 1e-300$", err.strip())
+    assert match and 0 < float(match.group(1)) < 1e-12
 
 
 def test_refute_passes(capsys):

@@ -18,6 +18,7 @@ from spinzero.observables import (
     NonCommutingError,
     SpectralObservable,
     _su2_from_rng,
+    _su2_stack,
     check_invariance,
     embed,
     from_matrix,
@@ -280,9 +281,12 @@ def test_random_su2_determinism_and_unitarity():
 
 
 def test_random_su2_haar_marginal():
-    rng = np.random.default_rng(97)
-    mean = np.mean([abs(_su2_from_rng(rng)[0, 0]) ** 2 for _ in range(100_000)])
+    draws = _su2_stack(np.random.default_rng(97).standard_normal((100_000, 4)))
+    mean = np.mean(np.abs(draws[:, 0, 0]) ** 2)
     assert abs(mean - 0.5) < 0.01
+    # The stack is the same stream as single draws, row for row.
+    rng = np.random.default_rng(97)
+    assert np.array_equal(draws[:1000], [_su2_from_rng(rng) for _ in range(1000)])
 
 
 def _reference_su2(rng):

@@ -8,7 +8,9 @@ from spinzero.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TOL_EIG,
     CapacityError,
+    ConvergenceError,
     DimensionMismatchError,
     NonHermitianError,
     apply,
@@ -23,7 +25,7 @@ from spinzero.qcore import (
     random_state,
     tensor,
 )
-from spinzero.states import basis_ket, spin_zero_basis
+from spinzero.states import basis_ket, spin_zero_basis, total_spin_squared
 from spinzero.observables import observable_f, pauli
 
 from helpers import PHI1_EXPECTED, product_ket
@@ -169,21 +171,78 @@ def test_eigen_collective_observable_spectrum():
     assert np.all(rounded[1:-1] == 0.0)
 
 
+def _assert_eigen_oracles(m, dec):
+    dim = m.shape[0]
+    # eigenvalues sorted descending and real
+    assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+    # orthonormal eigenvectors
+    v = dec.eigenvectors
+    assert max_abs(v.conj().T @ v - np.eye(dim)) < 1e-10
+    # reconstruction residual
+    assert max_abs(dec.reconstruct() - m) < 1e-9
+    # numpy as an independent oracle for the spectrum
+    assert np.allclose(np.sort(dec.eigenvalues), np.linalg.eigvalsh(m), atol=1e-9)
+
+
 def test_eigen_random_hermitian_properties():
     rng = np.random.default_rng(17)
     for _ in range(25):
         dim = int(rng.choice([2, 3, 4, 8, 16]))
         m = random_hermitian(dim, rng)
-        dec = hermitian_eigen(m)
-        # eigenvalues sorted descending and real
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-        # orthonormal eigenvectors
-        v = dec.eigenvectors
-        assert max_abs(v.conj().T @ v - np.eye(dim)) < 1e-10
-        # reconstruction residual
-        assert max_abs(dec.reconstruct() - m) < 1e-9
-        # numpy as an independent oracle for the spectrum
-        assert np.allclose(np.sort(dec.eigenvalues), np.linalg.eigvalsh(m), atol=1e-9)
+        _assert_eigen_oracles(m, hermitian_eigen(m))
+
+
+@pytest.mark.parametrize("dim", [8, 16, 32])
+def test_eigen_converges_on_random_matrices(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(100):
+        m = random_hermitian(dim, rng)
+        _assert_eigen_oracles(m, hermitian_eigen(m))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_eigen_total_spin_squared(n):
+    # S^2 splits into one exact block per total S_z.
+    m = total_spin_squared(n)
+    _assert_eigen_oracles(m, hermitian_eigen(m))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5, 7])
+def test_eigen_odd_dimensions(dim):
+    m = random_hermitian(dim, np.random.default_rng(100 + dim))
+    _assert_eigen_oracles(m, hermitian_eigen(m))
+
+
+def test_eigen_permuted_block_diagonal():
+    rng = np.random.default_rng(23)
+    sizes = (3, 1, 4, 2, 5)
+    m = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    start = 0
+    for size in sizes:
+        m[start:start + size, start:start + size] = random_hermitian(size, rng)
+        start += size
+    perm = rng.permutation(m.shape[0])
+    m, labels = m[np.ix_(perm, perm)], labels[perm]
+    dec = hermitian_eigen(m)
+    _assert_eigen_oracles(m, dec)
+    # Blocks are solved apart, so every eigenvector is exactly zero off its
+    # own block.
+    for column in dec.eigenvectors.T:
+        assert len(set(labels[column != 0])) == 1
+
+
+def test_eigen_diagonal_input_returns_identity_eigenvectors():
+    dec = hermitian_eigen(np.diag([1.0, 3.0, -2.0, 3.0]))
+    assert np.array_equal(dec.eigenvalues, [3.0, 3.0, 1.0, -2.0])
+    assert np.array_equal(dec.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+
+def test_eigen_sweep_cap_raises_with_residual():
+    m = random_hermitian(32, np.random.default_rng(32))
+    with pytest.raises(ConvergenceError) as info:
+        hermitian_eigen(m, max_sweeps=1)
+    assert info.value.residual > TOL_EIG * np.linalg.norm(m)
 
 
 def test_eigen_rejects_non_hermitian():

@@ -244,7 +244,7 @@ def test_run_scenario_zero_probability_is_runtime_error():
 
 
 def test_run_scenario_dimension_mismatch_is_runtime_error():
-    text = "qubits 4\nstate s = |00>\nobs f = F\nmeasure f outcomes +\n"
+    text = "qubits 2\nstate s = |00>\nobs f = F\nmeasure f outcomes +\n"
     with pytest.raises(ScenarioRuntimeError):
         run_scenario(parse_scenario(text))
 
