@@ -74,14 +74,14 @@ RECONSTRUCTION_NOTE = (
 # ---------------------------------------------------------------------------
 # number formatting
 
-def rational_label(p: float, max_den: int = 144, tol: float = 1e-12) -> str | None:
-    """Reduced p/q annotation when p is within tol of a rational with
-    denominator at most max_den, else None."""
+def rational_label(p: float) -> str | None:
+    """Reduced p/q annotation when p is within 1e-12 of a rational with
+    denominator at most 144, else None."""
     if not math.isfinite(p):
         return None
-    for q in range(1, max_den + 1):
+    for q in range(1, 145):
         a = round(p * q)
-        if abs(p - a / q) <= tol:
+        if abs(p - a / q) <= 1e-12:
             g = math.gcd(int(a), q)
             num, den = int(a) // g, q // g
             return f"{num}/{den}" if den > 1 else f"{num}"
@@ -472,8 +472,8 @@ def _tolerances(pairs, names) -> dict[str, float]:
         if name not in names:
             raise ValueError(f"unknown tolerance {name!r}; names: {', '.join(names)}")
         parsed = float(value)
-        if not parsed > 0.0:
-            raise ValueError(f"tolerance {name} must be positive, got {value}")
+        if not 0.0 < parsed < math.inf:
+            raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
         tolerances[name] = parsed
     return tolerances
 

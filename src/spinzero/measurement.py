@@ -12,7 +12,9 @@ import numpy as np
 
 from .qcore import (
     TOL_CORR,
+    TOL_LABEL,
     TOL_NORM,
+    TOL_SUM,
     TOL_ZERO,
     DimensionMismatchError,
     as_state,
@@ -52,7 +54,7 @@ class Distribution:
         if len(set(labels)) != len(labels):
             raise ValueError("distribution labels must be distinct")
         total = sum(p for _, p in self.entries)
-        if abs(total - 1.0) > 1e-8:
+        if abs(total - 1.0) > TOL_SUM:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @property
@@ -74,7 +76,7 @@ def _labels_close(a, b) -> bool:
         return len(a) == len(b) and all(_labels_close(x, y) for x, y in zip(a, b))
     if isinstance(a, tuple) or isinstance(b, tuple):
         return False
-    return abs(float(a) - float(b)) <= 1e-12
+    return abs(float(a) - float(b)) <= TOL_LABEL
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +210,8 @@ def sequence_distribution(state, program, *,
     return Distribution(entries=tuple(_sequence_paths(state, program, norm_tol)))
 
 
-def joint_distribution(state, observables, *,
-                       commute_tol: float = 1e-10,
-                       norm_tol: float = TOL_NORM) -> Distribution:
-    """Joint outcome distribution of a pairwise-commuting set.
+def joint_distribution(state, observables) -> Distribution:
+    """Joint outcome distribution of a set commuting pairwise to TOL_COMMUTE.
 
     Probabilities come from products of the commuting branch projectors, so
     every marginal agrees with born_distribution of the single observable.
@@ -219,12 +219,11 @@ def joint_distribution(state, observables, *,
     observables = list(observables)
     if not observables:
         raise ValueError("need at least one observable")
-    _check_commuting(observables, commute_tol)
-    return Distribution(entries=tuple(_sequence_paths(state, observables, norm_tol)))
+    _check_commuting(observables)
+    return Distribution(entries=tuple(_sequence_paths(state, observables, TOL_NORM)))
 
 
-def sample(state, program, trials: int, seed: int, *,
-           norm_tol: float = TOL_NORM) -> dict[tuple[float, ...], int]:
+def sample(state, program, trials: int, seed: int) -> dict[tuple[float, ...], int]:
     """Seeded Monte Carlo frequencies for a sequential measurement program.
 
     Path probabilities are computed exactly by chained projection and one
@@ -232,7 +231,7 @@ def sample(state, program, trials: int, seed: int, *,
     sequential collapse in distribution while staying deterministic per
     seed.
     """
-    return _draw_counts(_sequence_paths(state, program, norm_tol), trials, seed)
+    return _draw_counts(_sequence_paths(state, program, TOL_NORM), trials, seed)
 
 
 def _draw_counts(paths, trials: int, seed: int) -> dict[tuple[float, ...], int]:
@@ -242,7 +241,7 @@ def _draw_counts(paths, trials: int, seed: int) -> dict[tuple[float, ...], int]:
         raise ValueError(f"trials must be >= 1, got {trials}")
     probs = np.array([p for _, p in paths])
     total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > TOL_SUM:
         raise ValueError(f"path probabilities sum to {total!r}, not 1")
     counts = np.random.default_rng(seed).multinomial(trials, probs / total)
     return {outcome: int(c) for (outcome, _), c in zip(paths, counts)}
@@ -250,8 +249,7 @@ def _draw_counts(paths, trials: int, seed: int) -> dict[tuple[float, ...], int]:
 
 def correlation_check(state, a: SpectralObservable, b: SpectralObservable, *,
                       corr_tol: float = TOL_CORR,
-                      zero_tol: float = TOL_ZERO,
-                      norm_tol: float = TOL_NORM) -> CorrelationReport:
+                      zero_tol: float = TOL_ZERO) -> CorrelationReport:
     """Do outcomes of `a` determine outcomes of `b` on this state?
 
     The two observables must act on disjoint `sites` (place them with `embed`).
@@ -261,7 +259,7 @@ def correlation_check(state, a: SpectralObservable, b: SpectralObservable, *,
     if set(a.sites) & set(b.sites):
         raise OverlappingSupportError(
             f"supports overlap on sites {sorted(set(a.sites) & set(b.sites))}")
-    joint = joint_distribution(state, [a, b], norm_tol=norm_tol)
+    joint = joint_distribution(state, [a, b])
     marginal: dict[float, float] = {}
     for (ev_a, _), p in joint.entries:
         marginal[ev_a] = marginal.get(ev_a, 0.0) + p

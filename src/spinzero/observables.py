@@ -20,9 +20,12 @@ from .qcore import (
     IDENTITY_2,
     MAX_QUBITS,
     TOL_CLUSTER,
+    TOL_COMMUTE,
     TOL_HERM,
     TOL_INVARIANCE,
+    TOL_LABEL,
     TOL_ORTH,
+    TOL_RANK,
     CapacityError,
     DimensionMismatchError,
     NonUnitaryError,
@@ -58,7 +61,7 @@ class SpectralObservable:
     sites[j], 1-indexed) of an n_qubits register, with the identity
     elsewhere.  Across branches the columns form an orthonormal basis of
     the local space, so the branch projectors resolve the identity, and
-    branch eigenvalues lie more than `cluster_tol` (at least 1e-12) apart.
+    branch eigenvalues lie more than `cluster_tol` (at least TOL_LABEL) apart.
     `sites` defaults to 1..k.  The bases are read-only copies, so an
     observable can be shared: F and G are built once per process.
 
@@ -94,9 +97,9 @@ class SpectralObservable:
             total += basis.shape[1]
         if total != local_dim:
             raise ValueError(f"branch bases supply {total} vectors for dimension {local_dim}")
-        # Never below the 1e-12 window in which `_local_branch` matches a
+        # Never below the window in which `_local_branch` matches a
         # requested eigenvalue: closer branches could not be told apart.
-        separation = max(cluster_tol, 1e-12)
+        separation = max(cluster_tol, TOL_LABEL)
         values = [ev for ev, _ in local]
         for i, vi in enumerate(values):
             for vj in values[i + 1:]:
@@ -133,7 +136,7 @@ class SpectralObservable:
     def _local_branch(self, eigenvalue: float) -> tuple[float, np.ndarray]:
         """The (eigenvalue, local basis) branch matching `eigenvalue`."""
         for ev, basis in self.local_branches:
-            if ev == eigenvalue or abs(ev - float(eigenvalue)) <= 1e-12:
+            if ev == eigenvalue or abs(ev - float(eigenvalue)) <= TOL_LABEL:
                 return ev, basis
         raise KeyError(f"{eigenvalue} is not in the spectrum {self.eigenvalues}")
 
@@ -307,8 +310,7 @@ def embed(obs: SpectralObservable, sites, n: int) -> SpectralObservable:
                               n_qubits=n, name=obs.name)
 
 
-def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, herm_tol: float = TOL_HERM,
-                name: str = "") -> SpectralObservable:
+def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> SpectralObservable:
     """Spectral observable from a Hermitian matrix.
 
     Runs the Jacobi eigensolver and starts a new eigenspace wherever two
@@ -316,7 +318,7 @@ def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, herm_tol: float = TOL_HE
     branch eigenvalue is its cluster's mean, which lies inside the cluster,
     so adjacent branches pass the constructor's check at the same cluster_tol.
     """
-    decomp = hermitian_eigen(as_operator(m), herm_tol=herm_tol)
+    decomp = hermitian_eigen(as_operator(m))
     eigenvalues = decomp.eigenvalues
     branches = []
     start = 0
@@ -350,15 +352,15 @@ class FunctionReport:
             raise ValueError("a negative report carries a witness and no value table")
 
 
-def _orthonormal_columns(block: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
+def _orthonormal_columns(block: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, empty when the span is trivial."""
     if block.shape[1] == 0:
         return block
     u, s, _ = np.linalg.svd(block, full_matrices=False)
-    return u[:, s > rank_tol]
+    return u[:, s > TOL_RANK]
 
 
-def _check_commuting(observables, tol: float) -> None:
+def _check_commuting(observables) -> None:
     mats = None
     for i in range(len(observables)):
         for j in range(i + 1, len(observables)):
@@ -371,15 +373,14 @@ def _check_commuting(observables, tol: float) -> None:
             if mats is None:
                 mats = {k: obs.matrix() for k, obs in enumerate(observables)}
             dev = max_abs(commutator(mats[i], mats[j]))
-            if dev > tol:
+            if dev > TOL_COMMUTE:
                 raise NonCommutingError(
                     f"observables {a.name or i} and {b.name or j} do not commute "
                     f"(max commutator entry {dev:.3e})")
 
 
-def joint_eigenspaces(generators, *, commute_tol: float = 1e-10,
-                      rank_tol: float = 1e-9):
-    """Joint eigenspace decomposition of a commuting set.
+def joint_eigenspaces(generators):
+    """Joint eigenspace decomposition of a set commuting to TOL_COMMUTE.
 
     Returns a list of (outcome tuple, orthonormal basis columns) covering
     every realizable joint outcome, refined generator by generator in branch
@@ -388,7 +389,7 @@ def joint_eigenspaces(generators, *, commute_tol: float = 1e-10,
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    _check_commuting(generators, commute_tol)
+    _check_commuting(generators)
     dim = generators[0].dim
     spaces = [((), np.eye(dim, dtype=complex))]
     for gen in generators:
@@ -396,22 +397,21 @@ def joint_eigenspaces(generators, *, commute_tol: float = 1e-10,
         for outcome, basis in spaces:
             for ev, branch in gen.local_branches:
                 projected = gen._project(branch, basis)
-                q = _orthonormal_columns(projected, rank_tol)
+                q = _orthonormal_columns(projected)
                 if q.shape[1] > 0:
                     refined.append((outcome + (ev,), q))
         spaces = refined
     return spaces
 
 
-def is_function_of(f: SpectralObservable, generators, *,
-                   commute_tol: float = 1e-10,
-                   contain_tol: float = 1e-9) -> FunctionReport:
+def is_function_of(f: SpectralObservable, generators) -> FunctionReport:
     """Decide whether f is a function of a commuting generator set.
 
     f is a function of the set exactly when every joint eigenspace of the
     generators lies inside a single eigenspace of f, so that the joint
     outcome determines f's value.  Decided structurally by eigenspace
-    containment, not by polynomial fitting.
+    containment (projection residual at most TOL_RANK), not by polynomial
+    fitting.
     """
     generators = list(generators)
     for gen in generators:
@@ -419,11 +419,11 @@ def is_function_of(f: SpectralObservable, generators, *,
             raise DimensionMismatchError(
                 f"generator dim {gen.dim} does not match f dim {f.dim}")
     table: dict[tuple[float, ...], float] = {}
-    for outcome, basis in joint_eigenspaces(generators, commute_tol=commute_tol):
+    for outcome, basis in joint_eigenspaces(generators):
         value = None
         for ev, branch in f.local_branches:
             residual = max_abs(f._project(branch, basis) - basis)
-            if residual <= contain_tol:
+            if residual <= TOL_RANK:
                 value = ev
                 break
         if value is None:
@@ -487,12 +487,12 @@ def random_su2(seed: int) -> np.ndarray:
     return _su2_from_rng(np.random.default_rng(seed))
 
 
-def _require_unitary(u: np.ndarray, tol: float) -> np.ndarray:
+def _require_unitary(u: np.ndarray) -> np.ndarray:
     u = as_operator(u)
     if u.shape != (2, 2):
         raise DimensionMismatchError(f"rotations must be 2x2, got {u.shape}")
     dev = max_abs(u.conj().T @ u - IDENTITY_2)
-    if dev > tol:
+    if dev > TOL_HERM:
         raise NonUnitaryError(f"rotation is not unitary: deviation {dev:.3e}")
     return u
 
@@ -532,13 +532,13 @@ def _conjugation_deviations(m: np.ndarray, rotations: np.ndarray,
 
 def check_invariance(obs: SpectralObservable, rotation=None, *,
                      pattern: str = "equal", trials: int = 1, seed: int = 0,
-                     tol: float = TOL_INVARIANCE,
-                     herm_tol: float = TOL_HERM) -> InvarianceReport:
+                     tol: float = TOL_INVARIANCE) -> InvarianceReport:
     """Audit invariance of an observable under tensor-product rotations.
 
     pattern "equal" conjugates by u x u x ... x u; pattern "per_site" uses an
     independent rotation on every qubit.  With `rotation` given, runs that
-    single trial (a 2x2 unitary, or a sequence of per-site 2x2 unitaries);
+    single trial (a 2x2 unitary within TOL_HERM, or a sequence of per-site
+    2x2 unitaries);
     otherwise draws `trials` seeded Haar-random rotations, trial by trial
     and site by site from one stream, and audits them in batches.
     """
@@ -550,9 +550,9 @@ def check_invariance(obs: SpectralObservable, rotation=None, *,
     m = obs.matrix()
     if rotation is not None:
         if pattern == "equal":
-            factors = [_require_unitary(rotation, herm_tol)]
+            factors = [_require_unitary(rotation)]
         else:
-            factors = [_require_unitary(u, herm_tol) for u in rotation]
+            factors = [_require_unitary(u) for u in rotation]
             if len(factors) != n:
                 raise ValueError(f"per_site pattern needs {n} rotations, got {len(factors)}")
         size = 1

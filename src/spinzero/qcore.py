@@ -16,13 +16,18 @@ import numpy as np
 
 MAX_QUBITS = 10
 
-# Default numerical tolerances.  Most are overridable per call; the CLI's
-# --tol NAME=VALUE overrides the ones its commands read (see README).
+# Numerical tolerances (README, Tolerances).  --tol NAME=VALUE overrides the
+# ones in DEFAULT_TOLERANCES for the commands that read them; the rest are fixed.
 TOL_NORM = 1e-10       # state normalization
 TOL_ORTH = 1e-10       # orthonormality of eigenbases
 TOL_HERM = 1e-10       # hermiticity / unitarity deviation
 TOL_EIG = 1e-12        # eigensolver off-diagonal residual (relative)
 TOL_CLUSTER = 1e-8     # eigenvalue clustering width
+TOL_COMMUTE = 1e-10    # largest commutator entry of observables that commute
+TOL_RANK = 1e-9        # rank of a projected eigenspace; containment in a branch
+TOL_FIDELITY = 1e-10   # 1 - fidelity of a matching eta candidate
+TOL_LABEL = 1e-12      # matching an eigenvalue or outcome label to a branch
+TOL_SUM = 1e-8         # distance of a distribution's total probability from 1
 TOL_INVARIANCE = 1e-9  # rotation-invariance verdicts
 TOL_CORR = 1e-9        # perfect-correlation verdicts
 TOL_ZERO = 1e-14       # impossible-branch threshold on probabilities
@@ -30,10 +35,6 @@ TOL_ASSERT = 1e-9      # scenario assert_prob comparisons
 
 DEFAULT_TOLERANCES = {
     "norm": TOL_NORM,
-    "orth": TOL_ORTH,
-    "herm": TOL_HERM,
-    "eig": TOL_EIG,
-    "cluster": TOL_CLUSTER,
     "inv": TOL_INVARIANCE,
     "corr": TOL_CORR,
     "zero": TOL_ZERO,
@@ -70,12 +71,12 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def as_state(amplitudes, *, require_unit: bool = False,
-             norm_tol: float = TOL_NORM) -> np.ndarray:
+def as_state(amplitudes, *, require_unit: bool = False) -> np.ndarray:
     """Validate and copy a state vector.
 
     The vector must be one-dimensional with finite entries and a length
-    that is a power of two between 2 and 2**MAX_QUBITS.
+    that is a power of two between 2 and 2**MAX_QUBITS; with `require_unit`,
+    its norm must be 1 within TOL_NORM.
     """
     vec = np.array(amplitudes, dtype=complex)
     if vec.ndim != 1:
@@ -87,7 +88,7 @@ def as_state(amplitudes, *, require_unit: bool = False,
         raise CapacityError(f"state of {size} amplitudes exceeds the {MAX_QUBITS}-qubit maximum")
     if not np.isfinite(vec).all():
         raise ValueError("state amplitudes must be finite")
-    if require_unit and abs(norm(vec) - 1.0) > norm_tol:
+    if require_unit and abs(norm(vec) - 1.0) > TOL_NORM:
         raise ValueError(f"state is not normalized: norm = {norm(vec):.12g}")
     return vec
 
@@ -122,14 +123,14 @@ def normalize(state: np.ndarray) -> np.ndarray:
     return np.asarray(state, dtype=complex) / n
 
 
-def tensor(a: np.ndarray, b: np.ndarray, *, max_qubits: int = MAX_QUBITS) -> np.ndarray:
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product; the right factor becomes the least significant qubits."""
     a = as_state(a)
     b = as_state(b)
-    if num_qubits(a) + num_qubits(b) > max_qubits:
+    if num_qubits(a) + num_qubits(b) > MAX_QUBITS:
         raise CapacityError(
             f"tensor product of {num_qubits(a)} and {num_qubits(b)} qubits "
-            f"exceeds the {max_qubits}-qubit maximum")
+            f"exceeds the {MAX_QUBITS}-qubit maximum")
     return np.kron(a, b)
 
 
@@ -309,28 +310,27 @@ def _jacobi_sweep(hv: np.ndarray, skip: float) -> None:
         h[q, q] = aqq + t * r
 
 
-def hermitian_eigen(m: np.ndarray, *, herm_tol: float = TOL_HERM,
-                    eig_tol: float = TOL_EIG,
-                    max_sweeps: int = 100) -> SpectralDecomposition:
+def hermitian_eigen(m: np.ndarray, *, max_sweeps: int = 100) -> SpectralDecomposition:
     """Jacobi eigensolver for complex Hermitian matrices.
 
     Splits the matrix into the connected blocks of its exact nonzero
     pattern, then sweeps each block with 2x2 unitary sub-rotations in
     round-robin order: each round rotates disjoint pairs at once, and a
     sweep meets every pair once.  Stops when the off-diagonal Frobenius norm
-    drops below eig_tol relative to the matrix scale.  Raises
-    NonHermitianError for non-Hermitian input and ConvergenceError (with the
-    final residual) if max_sweeps sweeps are not enough.
+    drops below TOL_EIG relative to the matrix scale.  Raises
+    NonHermitianError for input more than TOL_HERM from Hermitian and
+    ConvergenceError (with the final residual) if max_sweeps sweeps are not
+    enough.
     """
     a = as_operator(m)
     herm_dev = max_abs(a - a.conj().T)
-    if herm_dev > herm_tol:
+    if herm_dev > TOL_HERM:
         raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {herm_dev:.3e}")
     h = (a + a.conj().T) / 2.0
     dim = h.shape[0]
     v = np.eye(dim, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(h)))
-    target = eig_tol * scale
+    target = TOL_EIG * scale
     skip = target / max(dim * dim, 1)
     residual = _offdiag_norm(h)
     if residual > target:

@@ -27,7 +27,9 @@ atoms compose under "*" into a multi-pair product whose sites must cover
 
 from __future__ import annotations
 
+import cmath
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,7 @@ from .qcore import (
     MAX_QUBITS,
     TOL_ASSERT,
     TOL_CORR,
+    TOL_FIDELITY,
     TOL_NORM,
     TOL_ZERO,
     CapacityError,
@@ -65,6 +68,10 @@ RESERVED_NAMES = frozenset({
 
 _STATE_BUILTINS = ("phi0", "phi1", "psi0", "psi1", "eta_tilde")
 
+# Deepest nesting of parentheses, normalize(, embed(, coefficients and '*'
+# factors: parsing, evaluating and printing recurse once per level.
+MAX_NESTING = 100
+
 
 class ScenarioParseError(Exception):
     """Lexical, syntactic, or semantic error with its source position."""
@@ -90,7 +97,10 @@ class _Token:
     col: int
 
 
-_SYMBOLS = set("=()*+-,;/")
+# One token at a position: blanks, INT (ASCII digits), NAME, SYM, or a ket
+# body after "|", whose closing ">" is checked in _tokenize.
+_TOKEN = re.compile(r"[ \t\r]+|(?P<INT>[0-9]+)|(?P<NAME>[^\W\d]\w*)"
+                    r"|(?P<SYM>[=()*+\-,;/])|\|(?P<KET>[01+\-]*)")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -99,46 +109,24 @@ def _tokenize(text: str) -> list[_Token]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         start = len(tokens)
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            col = i + 1
-            if ch == "|":
-                j = i + 1
-                while j < len(line) and line[j] in "01+-":
-                    j += 1
-                if j == i + 1:
-                    raise ScenarioParseError("empty ket", lineno, col + 1)
-                if j >= len(line) or line[j] != ">":
-                    bad = line[j] if j < len(line) else "end of line"
+        pos = 0
+        while pos < len(line):
+            match = _TOKEN.match(line, pos)
+            if match is None:
+                raise ScenarioParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+            kind, end = match.lastgroup, match.end()
+            if kind == "KET":
+                if end == pos + 1:
+                    raise ScenarioParseError("empty ket", lineno, pos + 2)
+                if not line.startswith(">", end):
+                    bad = line[end] if end < len(line) else "end of line"
                     raise ScenarioParseError(
                         f"malformed ket: expected '0', '1', '+', '-' or '>', got {bad!r}",
-                        lineno, j + 1)
-                tokens.append(_Token("KET", line[i + 1:j], lineno, col))
-                i = j + 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                tokens.append(_Token("INT", line[i:j], lineno, col))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                tokens.append(_Token("NAME", line[i:j], lineno, col))
-                i = j
-                continue
-            if ch in _SYMBOLS:
-                tokens.append(_Token("SYM", ch, lineno, col))
-                i += 1
-                continue
-            raise ScenarioParseError(f"unexpected character {ch!r}", lineno, col)
+                        lineno, end + 1)
+                end += 1
+            if kind:
+                tokens.append(_Token(kind, match.group(kind), lineno, pos + 1))
+            pos = end
         if len(tokens) > start:
             tokens.append(_Token("EOL", "", lineno, len(line) + 1))
     tokens.append(_Token("EOF", "", lineno + 1, 1))
@@ -208,8 +196,8 @@ class Tensor(_Expr):
 
 @dataclass(frozen=True)
 class Sum(_Expr):
-    left: object
-    right: object
+    terms: tuple  # two or more, added left to right
+    plus_cols: tuple[int, ...] = field(compare=False)  # column of each '+'
 
 
 @dataclass(frozen=True)
@@ -284,6 +272,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -309,7 +298,21 @@ class _Parser:
         if tok.kind != "INT":
             self.fail(f"expected {what}, got {tok.text or tok.kind!r}")
         self.advance()
-        return int(tok.text)
+        try:  # every integer must also convert to a float
+            value = int(tok.text)
+            float(value)
+        except (ValueError, OverflowError):  # ValueError: past int()'s digit limit
+            self.fail(f"integer literal of {len(tok.text)} digits is too large", tok)
+        return value
+
+    def nested(self, parse):
+        """parse() one level down; a parse error past MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expect_name(self, what: str = "a name") -> _Token:
         tok = self.peek()
@@ -400,12 +403,15 @@ class _Parser:
     # state expressions -----------------------------------------------------
 
     def parse_sexpr(self):
-        node = self.parse_tensor_term()
+        terms = [self.parse_tensor_term()]
+        plus = []
         while self.peek().kind == "SYM" and self.peek().text == "+":
-            tok = self.advance()
-            right = self.parse_tensor_term()
-            node = Sum(left=node, right=right, line=tok.line, col=tok.col)
-        return node
+            plus.append(self.advance())
+            terms.append(self.parse_tensor_term())
+        if not plus:
+            return terms[0]
+        return Sum(terms=tuple(terms), plus_cols=tuple(tok.col for tok in plus),
+                   line=plus[0].line, col=plus[0].col)
 
     def parse_tensor_term(self):
         # A coefficient scales the whole tensor chain that follows; scalars
@@ -413,22 +419,18 @@ class _Parser:
         # and lets singlet(i,j) pair products assemble before collapsing.
         if self._starts_coeff():
             coeff = self.parse_coeff()
-            operand = self.parse_tensor_term()
+            operand = self.nested(self.parse_tensor_term)
             return Scaled(coeff=coeff, operand=operand, line=coeff.line, col=coeff.col)
         node = self.parse_atom()
         if self.peek().kind == "SYM" and self.peek().text == "*":
             tok = self.advance()
-            right = self.parse_tensor_term()
+            right = self.nested(self.parse_tensor_term)
             return Tensor(left=node, right=right, line=tok.line, col=tok.col)
         return node
 
     def _starts_coeff(self) -> bool:
         tok = self.peek()
-        if tok.kind == "INT":
-            return True
-        if tok.kind == "SYM" and tok.text == "-":
-            return True
-        return tok.kind == "NAME" and tok.text in ("i", "sqrt")
+        return self._coeff_factor_ahead(0) or (tok.kind, tok.text) == ("SYM", "-")
 
     def _coeff_factor_ahead(self, ahead: int) -> bool:
         tok = self.peek(ahead)
@@ -447,17 +449,18 @@ class _Parser:
         while self._coeff_factor_ahead(0):
             tok = self.peek()
             if tok.kind == "INT":
-                self.advance()
-                factors.append((op, "int", int(tok.text)))
+                factors.append((op, "int", self.expect_int()))
             elif tok.text == "i":
                 self.advance()
                 factors.append((op, "i", 0))
             else:  # sqrt
                 self.advance()
                 self.expect_sym("(")
-                arg = self.expect_int("a square-root argument")
+                tok = self.peek()
+                factors.append((op, "sqrt", self.expect_int("a square-root argument")))
                 self.expect_sym(")")
-                factors.append((op, "sqrt", arg))
+            if factors[-1] in (("/", "int", 0), ("/", "sqrt", 0)):
+                self.fail("division by zero in coefficient", tok)
             nxt = self.peek()
             if nxt.kind == "SYM" and nxt.text in "*/" and self._coeff_factor_ahead(1):
                 op = self.advance().text
@@ -467,12 +470,11 @@ class _Parser:
             if not negative:
                 self.fail("expected a coefficient")
             factors = [("*", "int", 1)]
-        for op_, kind, val in factors:
-            if op_ == "/" and kind == "int" and val == 0:
-                raise ScenarioParseError("division by zero in coefficient",
-                                         first.line, first.col)
-        return Coeff(negative=negative, factors=tuple(factors),
-                     line=first.line, col=first.col)
+        coeff = Coeff(negative=negative, factors=tuple(factors),
+                      line=first.line, col=first.col)
+        if not cmath.isfinite(coeff.value):
+            self.fail("coefficient overflows a float", first)
+        return coeff
 
     def parse_atom(self):
         tok = self.peek()
@@ -481,14 +483,14 @@ class _Parser:
             return Ket(chars=tok.text, line=tok.line, col=tok.col)
         if tok.kind == "SYM" and tok.text == "(":
             self.advance()
-            node = self.parse_sexpr()
+            node = self.nested(self.parse_sexpr)
             self.expect_sym(")")
             return node
         if tok.kind == "NAME":
             if tok.text == "normalize":
                 self.advance()
                 self.expect_sym("(")
-                inner = self.parse_sexpr()
+                inner = self.nested(self.parse_sexpr)
                 self.expect_sym(")")
                 return Normalize(operand=inner, line=tok.line, col=tok.col)
             if tok.text == "singlet":
@@ -527,7 +529,7 @@ class _Parser:
         if tok.text == "embed":
             self.advance()
             self.expect_sym("(")
-            inner = self.parse_oexpr()
+            inner = self.nested(self.parse_oexpr)
             self.expect_sym(";")
             sites = [self.expect_int("a site")]
             while self.peek().kind == "SYM" and self.peek().text == ",":
@@ -661,7 +663,7 @@ def _resolve_obs(name: str, observables, line: int) -> SpectralObservable:
 def _eval_top_state(st: StateStmt, env) -> np.ndarray:
     vec = _collapse_value(_eval_sexpr(st.expr, env), st.expr)
     deviation = abs(norm(vec) - 1.0)
-    if deviation > TOL_NORM:
+    if not deviation <= TOL_NORM:  # a sum that overflowed leaves NaN
         raise ScenarioParseError(
             f"state {st.name!r} is not normalized (norm {norm(vec):.12g}); "
             "wrap the expression in normalize(...)", st.line, 1)
@@ -711,13 +713,16 @@ def _eval_sexpr(node, env):
                 node.line, node.col)
         return ("plain", np.kron(lvec, rvec))
     if isinstance(node, Sum):
-        lvec = _collapse_value(_eval_sexpr(node.left, env), node.left)
-        rvec = _collapse_value(_eval_sexpr(node.right, env), node.right)
-        if lvec.shape != rvec.shape:
-            raise ScenarioParseError(
-                f"cannot add states of {num_qubits(lvec)} and {num_qubits(rvec)} qubits",
-                node.line, node.col)
-        return ("plain", lvec + rvec)
+        first = node.terms[0]
+        total = _collapse_value(_eval_sexpr(first, env), first)
+        for term, col in zip(node.terms[1:], node.plus_cols):
+            vec = _collapse_value(_eval_sexpr(term, env), term)
+            if vec.shape != total.shape:
+                raise ScenarioParseError(
+                    f"cannot add states of {num_qubits(total)} and {num_qubits(vec)} qubits",
+                    node.line, col)
+            total = total + vec
+        return ("plain", total)
     if isinstance(node, Scaled):
         vec = _collapse_value(_eval_sexpr(node.operand, env), node.operand)
         return ("plain", node.coeff.value * vec)
@@ -817,7 +822,7 @@ def _fmt_sexpr(node, parent: str = "top") -> str:
     if isinstance(node, Normalize):
         return f"normalize({_fmt_sexpr(node.operand)})"
     if isinstance(node, Sum):
-        text = f"{_fmt_sexpr(node.left, 'sum')} + {_fmt_sexpr(node.right, 'sum')}"
+        text = " + ".join(_fmt_sexpr(term, "sum") for term in node.terms)
         return f"({text})" if parent in ("tensor", "scaled") else text
     if isinstance(node, Tensor):
         text = f"{_fmt_sexpr(node.left, 'tensor')} * {_fmt_sexpr(node.right, 'tensor')}"
@@ -993,25 +998,19 @@ class ProtocolReport:
 
 def _claimed_value(distribution: Distribution, zero_tol: float):
     """The lookup rule's value from the weights of the +1 and -1 branches."""
-    p_plus = distribution.probability(1.0)
-    p_minus = distribution.probability(-1.0)
-    if p_plus > zero_tol and p_minus <= zero_tol:
-        return 1.0
-    if p_minus > zero_tol and p_plus <= zero_tol:
-        return -1.0
-    if p_plus > zero_tol and p_minus > zero_tol:
-        return "ambiguous"
-    return "undefined"
+    possible = tuple(distribution.probability(v) > zero_tol for v in (1.0, -1.0))
+    return {(True, False): 1.0, (False, True): -1.0,
+            (True, True): "ambiguous"}.get(possible, "undefined")
 
 
-def assign_claimed_value(outcome, *, zero_tol: float = TOL_ZERO):
+def assign_claimed_value(outcome):
     """Value the audited lookup rule attributes to the collective observable
     for one outcome string of (sigma_z1, sigma_z2, sigma_x3, sigma_x4).
 
     Builds the outcome's mixed-basis eigenstate and compares its overlaps
     with the +1 and -1 eigenvectors of the collective observable: +1.0 or
-    -1.0 when exactly one overlap is nonzero, "ambiguous" when both are,
-    "undefined" when neither is.
+    -1.0 when exactly one overlap is nonzero (above TOL_ZERO), "ambiguous"
+    when both are, "undefined" when neither is.
     """
     outcome = tuple(int(s) for s in outcome)
     if len(outcome) != 4 or any(s not in (1, -1) for s in outcome):
@@ -1023,7 +1022,7 @@ def assign_claimed_value(outcome, *, zero_tol: float = TOL_ZERO):
         else:
             chars.append("+" if sign > 0 else "-")
     ket = basis_ket("".join(chars))
-    return _claimed_value(born_distribution(ket, observable_f()), zero_tol)
+    return _claimed_value(born_distribution(ket, observable_f()), TOL_ZERO)
 
 
 def _default_spin_program(n: int):
@@ -1069,22 +1068,22 @@ def run_claimed_protocol(state, outcome, *, program=None, collective=None,
                           certainty=certainty)
 
 
-def check_eta_candidate(candidate, *, fid_tol: float = 1e-10,
-                        zero_tol: float = TOL_ZERO) -> tuple[bool, float]:
+def check_eta_candidate(candidate) -> tuple[bool, float]:
     """Does an 8-qubit candidate collapse, under the all-up run of the four
     single-site measurements, onto the shipped post-measurement state?
 
     Returns (matches, residual) with residual = 1 - fidelity up to global
-    phase.  Raises ZeroProbabilityError when the all-up outcome cannot occur
-    on the candidate.
+    phase, a match when it is at most TOL_FIDELITY.  Raises
+    ZeroProbabilityError when the all-up outcome cannot occur on the
+    candidate.
     """
     candidate = as_state(candidate, require_unit=True)
     if num_qubits(candidate) != 8:
         raise ValueError(f"candidate must have 8 qubits, got {num_qubits(candidate)}")
     records = run_sequence(candidate, _default_spin_program(8),
-                           [1.0, 1.0, 1.0, 1.0], zero_tol=zero_tol)
+                           [1.0, 1.0, 1.0, 1.0])
     f = fidelity(records[-1].post_state, eta_tilde())
-    return f >= 1.0 - fid_tol, 1.0 - f
+    return f >= 1.0 - TOL_FIDELITY, 1.0 - f
 
 
 def dirac_audit(collective: SpectralObservable | None = None) -> FunctionReport:

@@ -55,7 +55,10 @@ def kron_chain(*mats) -> np.ndarray:
     return out
 
 
-# Ten canonical malformed scenario inputs with the line each error sits on.
+# A 400-digit integer: too large to convert to a float.
+HUGE_INT = "9" * 400
+
+# Canonical malformed scenario inputs with the line each error sits on.
 MALFORMED_INPUTS = [
     ("state x = |02>\n", 1),                      # invalid ket character
     ("state x = (|0> + |1>\n", 1),                # unclosed parenthesis
@@ -70,6 +73,11 @@ MALFORMED_INPUTS = [
     ("qubits 2\nstate s = |0>\n", 2),              # state narrower than the register
     ("qubits 2\nstate s = |000>\n", 2),            # state wider than the register
     ("state s = |0>\nqubits 2\n", 2),              # register declared after a state
+    ("state x = 1/sqrt(0) |0>\n", 1),             # zero square-root denominator
+    (f"state x = {HUGE_INT} |0>\n", 1),            # coefficient too large for a float
+    (f"state x = sqrt({HUGE_INT}) |0>\n", 1),      # square-root argument too large
+    # an assert_prob rational too large for a float
+    (f"qubits 1\nstate s = |0>\nobs a = sigma z 1\nassert_prob a + = {HUGE_INT}/3\n", 4),
 ]
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from spinzero.cli import format_probability, main, outcome_text, rational_label
+from spinzero.scenario import format_scenario, parse_scenario_file
+
+from helpers import HUGE_INT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REFUTATION_SCENARIO = REPO_ROOT / "scenarios" / "refutation.qsc"
@@ -194,6 +198,36 @@ def test_pair_product_over_ten_qubits_exit_2(capsys, tmp_path):
     assert err.startswith("parse error: line 2, column ")
 
 
+def test_sum_of_every_ten_qubit_basis_ket_runs_and_round_trips(capsys, tmp_path):
+    kets = " + ".join(f"|{''.join(bits)}>" for bits in itertools.product("01", repeat=10))
+    path = tmp_path / "long.qsc"
+    path.write_text(f"qubits 10\nstate s = normalize({kets})\n"
+                    "obs a = sigma z 1\nassert_prob a + = 1/2\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (0, "")
+    assert format_scenario(parse_scenario_file(path)) == path.read_text()
+
+
+# Expressions nested past the parser's cap of 100 levels.
+NESTED = {
+    "parentheses": "state s = " + "(" * 3000 + "|0>" + ")" * 3000,
+    "signs": "state s = " + "- " * 3000 + "|0>",
+    "factors": "state s = " + " * ".join(["|0>"] * 3000),
+    "embeds": "obs a = " + "embed(" * 2000 + "sigma z 1" + "; 1; 1)" * 2000,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deep_nesting_is_one_parse_error_line(capsys, tmp_path, shape):
+    path = tmp_path / "nested.qsc"
+    path.write_text(f"qubits 1\n{NESTED[shape]}\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 2, column ")
+    assert err.endswith(": expression nests deeper than 100 levels\n")
+    assert err.count("\n") == 1
+
+
 def test_refute_stages_are_the_standalone_audits(capsys):
     flags = ["--seed", "5", "--rotations", "10", "--format", "json"]
     _, raw, _ = run_cli(capsys, "refute", *flags)
@@ -298,6 +332,10 @@ def test_help_lists_only_the_flags_the_command_reads(capsys, command):
     ([], "the following arguments are required: command"),
     (["sample", str(REFUTATION_SCENARIO), "--trials", "9223372036854775808"],
      "--trials must be <= 9223372036854775807"),
+    (["run", str(REFUTATION_SCENARIO), "--tol", "assert=inf"],
+     "tolerance assert must be positive and finite, got inf"),
+    (["refute", "--tol", "corr=1e400"],
+     "tolerance corr must be positive and finite, got 1e400"),
 ])
 def test_bad_command_line_is_one_argument_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -318,10 +356,16 @@ def test_parser_reuse_keeps_no_tolerance_between_calls(capsys):
 
 
 def _contract_inputs(tmp_path) -> list[str]:
-    """The shipped scenario, byte-mutated copies, a missing path and a directory."""
+    """The shipped scenario, byte-mutated copies, a missing path, a directory,
+    and literals and nesting the evaluator cannot hold."""
     text = REFUTATION_SCENARIO.read_bytes()
     rng = random.Random(0)
     paths = [str(REFUTATION_SCENARIO)] * 5 + [str(tmp_path / "missing.qsc"), str(tmp_path)]
+    for k, line in enumerate(["state s = 1/sqrt(0) |0>", f"state s = {HUGE_INT} |0>",
+                              "state s = " + "(" * 3000 + "|0>" + ")" * 3000]):
+        path = tmp_path / f"unrepresentable{k}.qsc"
+        path.write_text(f"qubits 1\n{line}\nobs a = sigma z 1\nmeasure a outcomes +\n")
+        paths.append(str(path))
     for k in range(8):
         data = bytearray(text)
         for _ in range(1 + k % 3):
@@ -365,13 +409,27 @@ def test_exit_code_contract(tmp_path):
         misplaced = data.draw(st.integers(0, 3)) == 3
         if (command in ("run", "sample")) != misplaced:
             argv.insert(1, data.draw(st.sampled_from(inputs)))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in err.getvalue(), argv
         formats = [value for name, value in flags if name == "--format"]
-        if code == 1 and formats and formats[-1] == "json":
-            assert json.loads(out.getvalue())["passed"] is False, argv
+        _assert_contract(argv, json_report=bool(formats) and formats[-1] == "json")
 
     check()
+    # Most drawn command lines stop at an argument error; give every input
+    # to both file commands once, so that each reaches the parser.
+    for path in inputs:
+        for command in ("run", "sample"):
+            code = _assert_contract([command, path, "--format", "json"], json_report=True)
+            if "unrepresentable" in path:
+                assert code == 2, path
+
+
+def _assert_contract(argv, json_report: bool) -> int:
+    """Run `main(argv)`: exit 0-3, no traceback, and a JSON report of a
+    failed verdict says so."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1 and json_report:
+        assert json.loads(out.getvalue())["passed"] is False, argv
+    return code

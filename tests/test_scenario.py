@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from spinzero.scenario import (
 )
 
 from helpers import (
+    HUGE_INT,
     MALFORMED_INPUTS,
     kron_chain,
     mixed_ket_for_signs,
@@ -117,6 +119,36 @@ def test_parse_error_column_points_at_bad_ket_character():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario("state x = |02>\n")
     assert err.value.col == 13  # the '2'
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("state x = 1/0 |0>\n", 1, 13, "division by zero in coefficient"),
+    ("state x = 1/sqrt(0) |0>\n", 1, 18, "division by zero in coefficient"),
+    (f"state x = 2*{HUGE_INT} |0>\n", 1, 13, "integer literal of 400 digits is too large"),
+    (f"state x = sqrt({HUGE_INT}) |0>\n", 1, 16, "integer literal of 400 digits is too large"),
+    # each factor fits a float, their product does not
+    (f"state x = 1{'0' * 200}*1{'0' * 200} |0>\n", 1, 11, "coefficient overflows a float"),
+    (f"qubits 1\nstate s = |0>\nobs a = sigma z 1\nassert_prob a + = {HUGE_INT}/3\n",
+     4, 19, "integer literal of 400 digits is too large"),
+    # a superscript two is a digit to str.isdigit() but not an integer literal
+    ("qubits \u00b2\n", 1, 8, "expected a qubit count, got '\u00b2'"),
+    pytest.param(f"qubits {'1' * 5000}\n", 1, 8, "integer literal of 5000 digits is too large",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="int() has no digit limit")),
+])
+def test_numeric_literal_errors_point_at_the_literal(text, line, col, message):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).endswith(message)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_state_that_overflows_to_nan_is_not_normalized():
+    big = "1" + "0" * 308  # 1e308 fits a float, twice it does not
+    with pytest.raises(ScenarioParseError, match=r"'x' is not normalized \(norm nan\)"):
+        parse_scenario(f"state x = normalize({big} |0> + {big} |0>)\n")
 
 
 def test_undecodable_file_reports_first_bad_byte(tmp_path):
