@@ -30,7 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +90,7 @@ class ScenarioRuntimeError(RuntimeError):
 # ---------------------------------------------------------------------------
 # tokens
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME | INT | KET | SYM | EOL | EOF
     text: str
     line: int
@@ -134,135 +134,124 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: every node ends with its source position (line, and col for
+# expressions); compare nodes by their printed text, never with ==.
 
-@dataclass(frozen=True, kw_only=True)
-class _Node:
-    """Source position of a node; it takes no part in comparisons."""
-
-    line: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True, kw_only=True)
-class _Expr(_Node):
-    col: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class Coeff(_Expr):
-    negative: bool
-    factors: tuple[tuple[str, str, int], ...]  # (op '*' or '/', kind, value); kind 'i' ignores value
-
-    @property
-    def value(self) -> complex:
-        acc: complex = 1.0
-        for op, kind, val in self.factors:
-            if kind == "int":
-                term: complex = float(val)
-            elif kind == "sqrt":
-                term = math.sqrt(val)
-            else:
-                term = 1.0j
-            acc = acc * term if op == "*" else acc / term
-        return -acc if self.negative else acc
-
-
-@dataclass(frozen=True)
-class Ket(_Expr):
+class Ket(NamedTuple):
     chars: str
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class NameRef(_Expr):
-    name: str
+class NameRef(NamedTuple):
+    name: str  # a state binding, or one of _STATE_BUILTINS
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class StateBuiltin(_Expr):
-    kind: str
-
-
-@dataclass(frozen=True)
-class SingletCall(_Expr):
+class SingletCall(NamedTuple):
     i: int
     j: int
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class Tensor(_Expr):
+class Tensor(NamedTuple):
     left: object
     right: object
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class Sum(_Expr):
+class Sum(NamedTuple):
     terms: tuple  # two or more, added left to right
-    plus_cols: tuple[int, ...] = field(compare=False)  # column of each '+'
+    plus_cols: tuple[int, ...]  # column of each '+'
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class Scaled(_Expr):
-    coeff: Coeff
+class Scaled(NamedTuple):
+    negative: bool
+    factors: tuple[tuple[str, str, int], ...]  # (op '*' or '/', kind, value); kind 'i' ignores value
     operand: object
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class Normalize(_Expr):
+class Normalize(NamedTuple):
     operand: object
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class SigmaExpr(_Expr):
+class SigmaExpr(NamedTuple):
     axis: str
     site: int
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class ObsBuiltin(_Expr):
+class ObsBuiltin(NamedTuple):
     kind: str  # 'F' | 'G'
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class EmbedExpr(_Expr):
+class EmbedExpr(NamedTuple):
     inner: object
     sites: tuple[int, ...]
     n: int
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class QubitsStmt(_Node):
+class QubitsStmt(NamedTuple):
     n: int
+    line: int
 
 
-@dataclass(frozen=True)
-class StateStmt(_Node):
+class StateStmt(NamedTuple):
     name: str
     expr: object
+    line: int
 
 
-@dataclass(frozen=True)
-class ObsStmt(_Node):
+class ObsStmt(NamedTuple):
     name: str
     expr: object
+    line: int
 
 
-@dataclass(frozen=True)
-class MeasureStmt(_Node):
+class MeasureStmt(NamedTuple):
     names: tuple[str, ...]
     signs: tuple[int, ...]
+    line: int
 
 
-@dataclass(frozen=True)
-class AssertProbStmt(_Node):
+class AssertProbStmt(NamedTuple):
     name: str
     signs: tuple[int, ...]
     numerator: int
     denominator: int
+    line: int
 
 
-@dataclass(frozen=True)
-class ReportStmt(_Node):
+class ReportStmt(NamedTuple):
     name: str
+    line: int
+
+
+def _coeff_value(negative: bool, factors) -> complex:
+    acc: complex = 1.0
+    for op, kind, val in factors:
+        if kind == "int":
+            term: complex = float(val)
+        elif kind == "sqrt":
+            term = math.sqrt(val)
+        else:
+            term = 1.0j
+        acc = acc * term if op == "*" else acc / term
+    return -acc if negative else acc
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +407,11 @@ class _Parser:
         # commute through tensor products, so this grouping is value-neutral
         # and lets singlet(i,j) pair products assemble before collapsing.
         if self._starts_coeff():
-            coeff = self.parse_coeff()
+            first = self.peek()
+            negative, factors = self.parse_coeff()
             operand = self.nested(self.parse_tensor_term)
-            return Scaled(coeff=coeff, operand=operand, line=coeff.line, col=coeff.col)
+            return Scaled(negative=negative, factors=factors, operand=operand,
+                          line=first.line, col=first.col)
         node = self.parse_atom()
         if self.peek().kind == "SYM" and self.peek().text == "*":
             tok = self.advance()
@@ -438,7 +429,7 @@ class _Parser:
             return True
         return tok.kind == "NAME" and tok.text in ("i", "sqrt")
 
-    def parse_coeff(self) -> Coeff:
+    def parse_coeff(self) -> tuple[bool, tuple]:
         first = self.peek()
         negative = False
         if first.kind == "SYM" and first.text == "-":
@@ -470,11 +461,9 @@ class _Parser:
             if not negative:
                 self.fail("expected a coefficient")
             factors = [("*", "int", 1)]
-        coeff = Coeff(negative=negative, factors=tuple(factors),
-                      line=first.line, col=first.col)
-        if not cmath.isfinite(coeff.value):
+        if not cmath.isfinite(_coeff_value(negative, factors)):
             self.fail("coefficient overflows a float", first)
-        return coeff
+        return negative, tuple(factors)
 
     def parse_atom(self):
         tok = self.peek()
@@ -501,10 +490,7 @@ class _Parser:
                 j = self.expect_int("a site")
                 self.expect_sym(")")
                 return SingletCall(i=i, j=j, line=tok.line, col=tok.col)
-            if tok.text in _STATE_BUILTINS:
-                self.advance()
-                return StateBuiltin(kind=tok.text, line=tok.line, col=tok.col)
-            if tok.text in RESERVED_NAMES:
+            if tok.text in RESERVED_NAMES and tok.text not in _STATE_BUILTINS:
                 self.fail(f"{tok.text!r} cannot appear in a state expression", tok)
             self.advance()
             return NameRef(name=tok.text, line=tok.line, col=tok.col)
@@ -559,11 +545,6 @@ class Scenario:
     statements: tuple
     states: dict[str, np.ndarray]
     observables: dict[str, SpectralObservable]
-
-    @property
-    def program(self) -> tuple:
-        return tuple(st for st in self.statements
-                     if isinstance(st, (MeasureStmt, AssertProbStmt, ReportStmt)))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -678,15 +659,15 @@ def _eval_sexpr(node, env):
         except (ValueError, CapacityError) as exc:
             raise ScenarioParseError(str(exc), node.line, node.col) from exc
     if isinstance(node, NameRef):
+        if node.name in _STATE_BUILTINS:
+            pair = spin_zero_basis()
+            vec = {"phi0": pair.phi0, "phi1": pair.phi1,
+                   "psi0": pair.phi0, "psi1": pair.phi1,
+                   "eta_tilde": None}[node.name]
+            return ("plain", eta_tilde() if vec is None else vec)
         if node.name not in env:
             raise ScenarioParseError(f"unknown state {node.name!r}", node.line, node.col)
         return ("plain", env[node.name])
-    if isinstance(node, StateBuiltin):
-        pair = spin_zero_basis()
-        vec = {"phi0": pair.phi0, "phi1": pair.phi1,
-               "psi0": pair.phi0, "psi1": pair.phi1,
-               "eta_tilde": None}[node.kind]
-        return ("plain", eta_tilde() if vec is None else vec)
     if isinstance(node, SingletCall):
         if node.i == node.j or node.i < 1 or node.j < 1:
             raise ScenarioParseError(
@@ -725,7 +706,7 @@ def _eval_sexpr(node, env):
         return ("plain", total)
     if isinstance(node, Scaled):
         vec = _collapse_value(_eval_sexpr(node.operand, env), node.operand)
-        return ("plain", node.coeff.value * vec)
+        return ("plain", _coeff_value(node.negative, node.factors) * vec)
     if isinstance(node, Normalize):
         vec = _collapse_value(_eval_sexpr(node.operand, env), node.operand)
         n = norm(vec)
@@ -815,8 +796,6 @@ def _fmt_sexpr(node, parent: str = "top") -> str:
         return f"|{node.chars}>"
     if isinstance(node, NameRef):
         return node.name
-    if isinstance(node, StateBuiltin):
-        return node.kind
     if isinstance(node, SingletCall):
         return f"singlet({node.i},{node.j})"
     if isinstance(node, Normalize):
@@ -828,13 +807,13 @@ def _fmt_sexpr(node, parent: str = "top") -> str:
         text = f"{_fmt_sexpr(node.left, 'tensor')} * {_fmt_sexpr(node.right, 'tensor')}"
         return f"({text})" if parent == "scaled" else text
     if isinstance(node, Scaled):
-        return f"{_fmt_coeff(node.coeff)} {_fmt_sexpr(node.operand, 'scaled')}"
+        return f"{_fmt_coeff(node)} {_fmt_sexpr(node.operand, 'scaled')}"
     raise TypeError(f"unknown state expression node {node!r}")
 
 
-def _fmt_coeff(coeff: Coeff) -> str:
+def _fmt_coeff(node: Scaled) -> str:
     parts = []
-    for k, (op, kind, val) in enumerate(coeff.factors):
+    for k, (op, kind, val) in enumerate(node.factors):
         if kind == "int":
             text = str(val)
         elif kind == "sqrt":
@@ -843,9 +822,9 @@ def _fmt_coeff(coeff: Coeff) -> str:
             text = "i"
         parts.append(text if k == 0 else op + text)
     body = "".join(parts)
-    if coeff.factors and coeff.factors[0][1] != "int":
+    if node.factors[0][1] != "int":
         body = "1*" + body
-    return ("-" if coeff.negative else "") + body
+    return ("-" if node.negative else "") + body
 
 
 def _fmt_oexpr(node) -> str:
@@ -860,7 +839,9 @@ def _fmt_oexpr(node) -> str:
 
 
 def scenarios_equivalent(a: Scenario, b: Scenario, atol: float = 1e-10) -> bool:
-    """Amplitude-level equivalence used by the parse/print round-trip check."""
+    """Equivalence used by the parse/print round-trip check: every binding
+    equal at the amplitude level, and the same program lines in the same
+    order, compared by their canonical text."""
     if a.n_qubits != b.n_qubits:
         return False
     if set(a.states) != set(b.states) or set(a.observables) != set(b.observables):
@@ -875,7 +856,13 @@ def scenarios_equivalent(a: Scenario, b: Scenario, atol: float = 1e-10) -> bool:
         for ev in obs.eigenvalues:
             if not np.allclose(obs.projector(ev), other.projector(ev), atol=atol):
                 return False
-    return a.program == b.program
+    return _program_text(a) == _program_text(b)
+
+
+def _program_text(scenario: Scenario) -> list[str]:
+    """The measure, assert_prob and report lines, without their positions."""
+    return [_format_statement(st) for st in scenario.statements
+            if isinstance(st, (MeasureStmt, AssertProbStmt, ReportStmt))]
 
 
 # ---------------------------------------------------------------------------

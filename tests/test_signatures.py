@@ -8,11 +8,6 @@ import inspect
 
 MODULES = ("qcore", "states", "observables", "measurement", "scenario", "cli")
 
-_EXPRESSION_NODES = ("Coeff", "EmbedExpr", "Ket", "NameRef", "Normalize", "ObsBuiltin",
-                     "Scaled", "SigmaExpr", "SingletCall", "StateBuiltin", "Sum", "Tensor")
-_STATEMENT_NODES = ("AssertProbStmt", "MeasureStmt", "ObsStmt", "QubitsStmt",
-                    "ReportStmt", "StateStmt")
-
 EXPECTED = {
     "qcore.as_state": ("require_unit",),
     "qcore.hermitian_eigen": ("max_sweeps",),
@@ -28,9 +23,6 @@ EXPECTED = {
     "measurement.correlation_check": ("corr_tol", "zero_tol"),
     "measurement.run_sequence": ("norm_tol", "zero_tol"),
     "measurement.sequence_distribution": ("norm_tol",),
-    # source positions of the parsed syntax tree
-    **{f"scenario.{name}": ("line", "col") for name in _EXPRESSION_NODES},
-    **{f"scenario.{name}": ("line",) for name in _STATEMENT_NODES},
     "scenario.dirac_audit": ("collective",),
     "scenario.run_claimed_protocol": ("program", "collective", "corr_tol", "zero_tol"),
     "scenario.run_scenario": ("assert_tol", "zero_tol", "norm_tol"),
