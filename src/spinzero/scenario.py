@@ -642,12 +642,21 @@ def _resolve_obs(name: str, observables, line: int) -> SpectralObservable:
 
 
 def _eval_top_state(st: StateStmt, env) -> np.ndarray:
-    vec = _collapse_value(_eval_sexpr(st.expr, env), st.expr)
-    deviation = abs(norm(vec) - 1.0)
-    if not deviation <= TOL_NORM:  # a sum that overflowed leaves NaN
+    # An overflow is a parse error at the operation that caused it, so
+    # numpy's floating-point warnings stay off.
+    with np.errstate(all="ignore"):
+        vec = _collapse_value(_eval_sexpr(st.expr, env), st.expr)
+        vec_norm = norm(vec)
+    if abs(vec_norm - 1.0) > TOL_NORM:
         raise ScenarioParseError(
-            f"state {st.name!r} is not normalized (norm {norm(vec):.12g}); "
+            f"state {st.name!r} is not normalized (norm {vec_norm:.12g}); "
             "wrap the expression in normalize(...)", st.line, 1)
+    return vec
+
+
+def _finite(vec: np.ndarray, what: str, line: int, col: int) -> np.ndarray:
+    if not np.isfinite(vec).all():
+        raise ScenarioParseError(f"{what} overflows a float", line, col)
     return vec
 
 
@@ -692,7 +701,7 @@ def _eval_sexpr(node, env):
             raise ScenarioParseError(
                 f"tensor product exceeds the {MAX_QUBITS}-qubit maximum",
                 node.line, node.col)
-        return ("plain", np.kron(lvec, rvec))
+        return ("plain", _finite(np.kron(lvec, rvec), "tensor product", node.line, node.col))
     if isinstance(node, Sum):
         first = node.terms[0]
         total = _collapse_value(_eval_sexpr(first, env), first)
@@ -702,14 +711,17 @@ def _eval_sexpr(node, env):
                 raise ScenarioParseError(
                     f"cannot add states of {num_qubits(total)} and {num_qubits(vec)} qubits",
                     node.line, col)
-            total = total + vec
+            total = _finite(total + vec, "sum", node.line, col)
         return ("plain", total)
     if isinstance(node, Scaled):
         vec = _collapse_value(_eval_sexpr(node.operand, env), node.operand)
-        return ("plain", _coeff_value(node.negative, node.factors) * vec)
+        vec = _coeff_value(node.negative, node.factors) * vec
+        return ("plain", _finite(vec, "scaled state", node.line, node.col))
     if isinstance(node, Normalize):
         vec = _collapse_value(_eval_sexpr(node.operand, env), node.operand)
         n = norm(vec)
+        if not math.isfinite(n):
+            raise ScenarioParseError("norm overflows a float", node.line, node.col)
         if n < 1e-12:
             raise ScenarioParseError("cannot normalize a zero vector",
                                      node.line, node.col)
@@ -802,12 +814,15 @@ def _fmt_sexpr(node, parent: str = "top") -> str:
         return f"normalize({_fmt_sexpr(node.operand)})"
     if isinstance(node, Sum):
         text = " + ".join(_fmt_sexpr(term, "sum") for term in node.terms)
-        return f"({text})" if parent in ("tensor", "scaled") else text
+        return f"({text})" if parent in ("left", "tensor", "scaled") else text
     if isinstance(node, Tensor):
-        text = f"{_fmt_sexpr(node.left, 'tensor')} * {_fmt_sexpr(node.right, 'tensor')}"
-        return f"({text})" if parent == "scaled" else text
+        # A pair product does not re-associate, so a left operand of '*'
+        # keeps its parentheses when it is a '*' group or a scaled state.
+        text = f"{_fmt_sexpr(node.left, 'left')} * {_fmt_sexpr(node.right, 'tensor')}"
+        return f"({text})" if parent in ("left", "scaled") else text
     if isinstance(node, Scaled):
-        return f"{_fmt_coeff(node)} {_fmt_sexpr(node.operand, 'scaled')}"
+        text = f"{_fmt_coeff(node)} {_fmt_sexpr(node.operand, 'scaled')}"
+        return f"({text})" if parent == "left" else text
     raise TypeError(f"unknown state expression node {node!r}")
 
 

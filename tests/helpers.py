@@ -57,6 +57,9 @@ def kron_chain(*mats) -> np.ndarray:
 
 # A 400-digit integer: too large to convert to a float.
 HUGE_INT = "9" * 400
+# 1e308 and 1e200 fit a float; twice the first, or the square of the second, does not.
+BIG_308 = "1" + "0" * 308
+BIG_200 = "1" + "0" * 200
 
 # Canonical malformed scenario inputs with the line each error sits on.
 MALFORMED_INPUTS = [
@@ -78,6 +81,10 @@ MALFORMED_INPUTS = [
     (f"state x = sqrt({HUGE_INT}) |0>\n", 1),      # square-root argument too large
     # an assert_prob rational too large for a float
     (f"qubits 1\nstate s = |0>\nobs a = sigma z 1\nassert_prob a + = {HUGE_INT}/3\n", 4),
+    # state expressions that overflow a float: at the '+', 'normalize(' and coefficient
+    (f"state x = normalize({BIG_308} |0> + {BIG_308} |0>)\n", 1),
+    (f"state x = normalize({BIG_200} |0> + {BIG_200} |1>)\n", 1),
+    (f"state x = normalize({BIG_200} |0> * {BIG_200} |0>)\n", 1),
 ]
 
 

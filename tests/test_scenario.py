@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +25,17 @@ from spinzero.scenario import (
 )
 
 from helpers import (
+    BIG_200,
+    BIG_308,
     HUGE_INT,
     MALFORMED_INPUTS,
     kron_chain,
     mixed_ket_for_signs,
     scenario_corpus,
 )
+
+
+REFUTATION_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "refutation.qsc"
 
 
 def parse_state(expr, prefix=""):
@@ -143,12 +149,18 @@ def test_numeric_literal_errors_point_at_the_literal(text, line, col, message):
     assert str(err.value).endswith(message)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_state_that_overflows_to_nan_is_not_normalized():
-    big = "1" + "0" * 308  # 1e308 fits a float, twice it does not
-    with pytest.raises(ScenarioParseError, match=r"'x' is not normalized \(norm nan\)"):
-        parse_scenario(f"state x = normalize({big} |0> + {big} |0>)\n")
+def test_overflow_in_a_state_expression_points_at_the_operation():
+    cases = [  # expression, the text before the error column, what overflowed
+        (f"normalize({BIG_308} |0> + {BIG_308} |0>)", f"normalize({BIG_308} |0> ", "sum"),
+        (f"normalize({BIG_200} |0> + {BIG_200} |1>)", "", "norm"),
+        (f"normalize({BIG_200} |0> * {BIG_200} |0>)", "normalize(", "scaled state"),
+        (f"({BIG_200} |0>) * ({BIG_200} |0>)", f"({BIG_200} |0>) ", "tensor product"),
+    ]
+    for expr, before, what in cases:
+        with pytest.raises(ScenarioParseError) as err:
+            parse_state(expr)
+        assert (err.value.line, err.value.col) == (1, len("state x = ") + len(before) + 1)
+        assert str(err.value).endswith(f"{what} overflows a float")
 
 
 def test_undecodable_file_reports_first_bad_byte(tmp_path):
@@ -166,6 +178,26 @@ def test_crlf_file_parses_like_lf(tmp_path):
     crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     lf.write_bytes(text.encode("utf-8"))
     assert scenarios_equivalent(parse_scenario_file(crlf), parse_scenario_file(lf))
+
+
+def test_shipped_scenario_is_equivalent_to_its_canonical_text():
+    # The canonical text drops the comments, so every line moves.
+    text = REFUTATION_SCENARIO.read_text()
+    shipped = parse_scenario(text)
+    assert scenarios_equivalent(shipped, parse_scenario(format_scenario(shipped)))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("outcomes ++++", "outcomes +++-"),       # one outcome sign
+    ("assert_prob f + = 1/12", "assert_prob f + = 1/6"),  # one rational
+    ("report f\n", "report g\n"),             # one observable name
+    ("report f\nreport g\n", "report g\nreport f\n"),  # two lines swapped
+])
+def test_a_different_program_is_not_equivalent(old, new):
+    text = REFUTATION_SCENARIO.read_text()
+    assert text.count(old) == 1
+    shipped = parse_scenario(text)
+    assert not scenarios_equivalent(shipped, parse_scenario(text.replace(old, new)))
 
 
 def test_reserved_names_rejected():
@@ -293,6 +325,20 @@ def test_format_scenario_canonical_text():
             "report f\n")
     scenario = parse_scenario(text)
     assert format_scenario(scenario) == text
+
+
+@pytest.mark.parametrize("text", [
+    "qubits 5\nstate x = (singlet(1,3) * singlet(2,4)) * |0>\n",
+    "qubits 6\nstate x = |0> * (singlet(1,3) * singlet(2,4)) * |0>\n",
+    "qubits 3\nstate x = (|0> * |1>) * |0>\n",
+    "qubits 4\nstate x = (-1 singlet(1,2)) * singlet(1,2)\n",
+])
+def test_format_keeps_parentheses_of_a_left_tensor_group(text):
+    # Pair products do not re-associate: without its parentheses the left
+    # operand would pair its sites with the rest of the chain.
+    first = parse_scenario(text)
+    assert format_scenario(first) == text
+    assert scenarios_equivalent(first, parse_scenario(format_scenario(first)))
 
 
 def test_round_trip_corpus():
