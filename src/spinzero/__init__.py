@@ -37,6 +37,7 @@ from .observables import (
     check_invariance,
     embed,
     from_matrix,
+    invariance_residual,
     is_function_of,
     joint_eigenspaces,
     observable_f,

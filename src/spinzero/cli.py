@@ -29,8 +29,8 @@ from .qcore import (
 from .states import basis_ket, eta_tilde, spin_zero_basis
 from .observables import (
     NonCommutingError,
-    check_invariance,
     embed,
+    invariance_residual,
     observable_f,
     observable_g,
 )
@@ -60,9 +60,6 @@ _RUNTIME_ERRORS = (
     DimensionMismatchError, CapacityError, NonHermitianError,
     NonUnitaryError, ConvergenceError, OSError,
 )
-
-_PER_SITE_VIOLATION = 1e-3   # a generic per-site rotation moves entries O(1)
-_PER_SITE_QUORUM = 95        # out of 100 trials
 
 RECONSTRUCTION_NOTE = (
     "note: the spin-zero pair behind F and G is reconstructed from its two "
@@ -171,14 +168,6 @@ def _render_run(report) -> list[str]:
     return lines
 
 
-def _invariance_summary(obs, pattern: str, trials: int, seed: int, tol: float) -> dict:
-    rep = check_invariance(obs, pattern=pattern, trials=trials, seed=seed, tol=tol)
-    violations = sum(1 for d in rep.deviations if d > _PER_SITE_VIOLATION)
-    return {"observable": obs.name, "pattern": pattern, "trials": rep.trials,
-            "max_deviation": rep.max_deviation, "invariant": rep.invariant,
-            "violations": violations}
-
-
 def cmd_refutation(ns: argparse.Namespace):
     pair = spin_zero_basis()
     ket = basis_ket("00++")
@@ -235,8 +224,6 @@ def cmd_refutation(ns: argparse.Namespace):
     failed = [k + 1 for k, st in enumerate(stages) if not st["passed"]]
     report = {
         "command": "refute",
-        "seed": ns.seed,
-        "rotations": ns.rotations,
         "stages": [{"index": k + 1, **st} for k, st in enumerate(stages)],
         "note": RECONSTRUCTION_NOTE,
         "failed_stage": failed[0] if failed else None,
@@ -246,8 +233,7 @@ def cmd_refutation(ns: argparse.Namespace):
 
 
 def _render_refutation(report) -> list[str]:
-    lines = [f"collective-measurement refutation audit (seed {report['seed']}, "
-             f"{report['rotations']} rotations per pattern)"]
+    lines = ["collective-measurement refutation audit"]
     for st in report["stages"]:
         status = "PASS" if st["passed"] else "FAIL"
         head = f"stage {st['index']} {st['name']}: "
@@ -264,15 +250,7 @@ def _render_refutation(report) -> list[str]:
             if st["witness"]:
                 body += f"; witness {st['witness']}"
         elif st["index"] == 4:
-            parts = []
-            for r in st["results"]:
-                if r["pattern"] == "equal":
-                    parts.append(f"{r['observable']} equal max dev {r['max_deviation']:.3e}"
-                                 f" ({'invariant' if r['invariant'] else 'NOT invariant'})")
-                else:
-                    parts.append(f"{r['observable']} per-site violations "
-                                 f"{r['violations']}/{r['trials']}")
-            body = "; ".join(parts)
+            body = "; ".join(_invariance_text(r) for r in st["results"])
         else:
             body = (f"perfectly_correlated="
                     f"{'true' if st['perfectly_correlated'] else 'false'}, "
@@ -373,36 +351,35 @@ def _render_audit_function(report) -> list[str]:
 
 
 def cmd_audit_invariance(ns: argparse.Namespace):
-    inv_tol = ns.tol["inv"]
-    rot = ns.rotations
-    pairs = product(("equal", "per_site"), (observable_f(), observable_g()))
-    results = [_invariance_summary(obs, pattern, rot, ns.seed + k, inv_tol)
-               for k, (pattern, obs) in enumerate(pairs)]
-    quorum = math.ceil(_PER_SITE_QUORUM * rot / 100)
-    passed = all(r["invariant"] for r in results if r["pattern"] == "equal") and \
-        all(r["violations"] >= quorum for r in results if r["pattern"] == "per_site")
+    """F and G against the generators of equal and of per-site rotations.
+    Invariant means a largest commutator entry of at most `--tol inv`; the
+    audit passes when both are invariant under equal rotations and neither
+    is under per-site ones."""
+    results = []
+    for pattern, obs in product(("equal", "per_site"), (observable_f(), observable_g())):
+        residual, generator = invariance_residual(obs, pattern)
+        results.append({"observable": obs.name, "pattern": pattern,
+                        "max_deviation": residual, "invariant": residual <= ns.tol["inv"],
+                        "generator": generator})
+    passed = all(r["invariant"] == (r["pattern"] == "equal") for r in results)
     report = {
         "command": "audit-invariance",
-        "seed": ns.seed,
-        "rotations": rot,
         "results": results,
         "passed": passed,
     }
     return (0 if passed else 1), report
 
 
+def _invariance_text(result) -> str:
+    kind = "equal" if result["pattern"] == "equal" else "per-site"
+    return (f"{result['observable']} under {kind} rotations: {result['max_deviation']:.3e} "
+            f"at {result['generator']} -> "
+            f"{'invariant' if result['invariant'] else 'NOT invariant'}")
+
+
 def _render_audit_invariance(report) -> list[str]:
-    lines = [f"rotation-invariance audit (seed {report['seed']}, "
-             f"{report['rotations']} trials per pattern)"]
-    for r in report["results"]:
-        if r["pattern"] == "equal":
-            lines.append(f"  {r['observable']} under equal rotations: max deviation "
-                         f"{r['max_deviation']:.3e} -> "
-                         f"{'invariant' if r['invariant'] else 'NOT invariant'}")
-        else:
-            lines.append(f"  {r['observable']} under per-site rotations: "
-                         f"{r['violations']}/{r['trials']} trials deviate above "
-                         f"{_PER_SITE_VIOLATION:g} (max {r['max_deviation']:.3g})")
+    lines = ["rotation-invariance audit (largest commutator entry with the SU(2) generators)"]
+    lines += [f"  {_invariance_text(r)}" for r in report["results"]]
     lines.append(f"verdict: {'PASS' if report['passed'] else 'FAIL'}")
     return lines
 
@@ -415,7 +392,6 @@ def _render_audit_invariance(report) -> list[str]:
 _COUNTS = {
     "seed": (0, 0, math.inf, "seed of the random draws"),
     "trials": (100_000, 1, 2**63 - 1, "Monte Carlo shots"),
-    "rotations": (100, 1, math.inf, "rotation trials per invariance pattern"),
 }
 
 # Command: (run, render, help, takes a scenario file, the count flags it
@@ -424,14 +400,14 @@ _COMMANDS = {
     "run": (cmd_run, _render_run, "run a scenario file",
             True, (), ("assert", "zero", "norm")),
     "refute": (cmd_refutation, _render_refutation, "run the built-in five-stage audit",
-               False, ("seed", "rotations"), ("corr", "zero", "inv")),
+               False, (), ("corr", "zero", "inv")),
     "sample": (cmd_sample, _render_sample, "Monte Carlo sample a scenario's program",
                True, ("seed", "trials"), ("norm",)),
     "audit-function": (cmd_audit_function, _render_audit_function,
                        "functional-dependence audit of F", False, (), ()),
     "audit-invariance": (cmd_audit_invariance, _render_audit_invariance,
                          "rotation-invariance audit of F and G",
-                         False, ("seed", "rotations"), ("inv",)),
+                         False, (), ("inv",)),
 }
 
 

@@ -1,6 +1,6 @@
 """Spectral observables: Pauli embeddings, the shipped collective
 observables F and G, functional-dependence checking, and rotation-invariance
-audits.
+decisions and audits.
 
 An observable is specified by its spectral data (eigenvalue -> orthonormal
 eigenbasis), never reconstructed from a matrix on the main path; collapse
@@ -19,6 +19,9 @@ import numpy as np
 from .qcore import (
     IDENTITY_2,
     MAX_QUBITS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     TOL_CLUSTER,
     TOL_COMMUTE,
     TOL_HERM,
@@ -192,11 +195,18 @@ class SpectralObservable:
 
     def matrix(self) -> np.ndarray:
         """Hermitian matrix form: the eigenvalue-weighted sum of projectors."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for ev, basis in self.branches:
-            if ev != 0.0:
-                out += ev * (basis @ basis.conj().T)
-        return out
+        return _projector_sum(self.branches)
+
+
+def _projector_sum(branches) -> np.ndarray:
+    """sum of ev B B^dagger over (eigenvalue, basis B) branches: the matrix
+    form of an observable on the rows of its bases."""
+    dim = branches[0][1].shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    for ev, basis in branches:
+        if ev != 0.0:
+            out += ev * (basis @ basis.conj().T)
+    return out
 
 
 def pauli(axis: str, site: int, n: int) -> SpectralObservable:
@@ -449,6 +459,52 @@ def _format_outcome(outcome) -> str:
     return "(" + ",".join(parts) + ")"
 
 
+@cache
+def _su2_generators(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The su(2) generators on k qubits as two read-only stacks of
+    2**k x 2**k matrices, built on first use of each k: (S_x, S_y, S_z)
+    with S_a = 1/2 sum_j sigma_a^(j), and sigma_a^(j) for every local
+    qubit j (j-major, then x, y, z).  Every entry is 0, +-1/2 or +-1 (times
+    i), so both stacks are exact."""
+    sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    per_site = np.stack([np.kron(np.kron(np.eye(2 ** j), sigma), np.eye(2 ** (k - 1 - j)))
+                         for j in range(k) for sigma in sigmas])
+    equal = per_site.reshape((k, 3) + per_site.shape[1:]).sum(axis=0) / 2
+    equal.setflags(write=False)
+    per_site.setflags(write=False)
+    return equal, per_site
+
+
+def invariance_residual(obs: SpectralObservable, pattern: str) -> tuple[float, str]:
+    """Largest commutator entry of an observable with the generators of a
+    rotation pattern, and the generator that attains it.
+
+    SU(2) is connected, so a matrix commutes with every equal rotation
+    u x ... x u exactly when it commutes with the total-spin generators
+    S_x, S_y, S_z ("equal"), and with every per-site rotation
+    u_1 x ... x u_k exactly when it commutes with sigma_x, sigma_y and
+    sigma_z on each site ("per_site"); see Hall, Lie Groups, Lie Algebras,
+    and Representations, 2nd ed., chs. 2-4.  The residual is 0 for an
+    invariant observable up to rounding; the caller compares it with a
+    tolerance.  Both are decided on the observable's own k sites, since
+    [X (x) I, A (x) I] = [X, A] (x) I and generators on the other sites
+    commute with it.  The witness is named by register site
+    ("sigma_z on site 1", "S_x").
+    """
+    if pattern not in ("equal", "per_site"):
+        raise ValueError(f"pattern must be 'equal' or 'per_site', got {pattern!r}")
+    m = _projector_sum(obs.local_branches)  # on the k sites; never the register
+    equal, per_site = _su2_generators(len(obs.sites))
+    gens = equal if pattern == "equal" else per_site
+    entries = np.abs(m @ gens - gens @ m).max(axis=(1, 2))
+    g = int(np.argmax(entries))
+    if pattern == "equal":
+        generator = f"S_{'xyz'[g]}"
+    else:
+        generator = f"sigma_{'xyz'[g % 3]} on site {obs.sites[g // 3]}"
+    return float(entries[g]), generator
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     """Conjugation-invariance audit over one or more rotation trials."""
@@ -540,7 +596,9 @@ def check_invariance(obs: SpectralObservable, rotation=None, *,
     single trial (a 2x2 unitary within TOL_HERM, or a sequence of per-site
     2x2 unitaries);
     otherwise draws `trials` seeded Haar-random rotations, trial by trial
-    and site by site from one stream, and audits them in batches.
+    and site by site from one stream, and audits them in batches.  This
+    measures how far the drawn rotations move the observable;
+    `invariance_residual` decides invariance under the whole group.
     """
     if pattern not in ("equal", "per_site"):
         raise ValueError(f"pattern must be 'equal' or 'per_site', got {pattern!r}")

@@ -648,9 +648,12 @@ def _eval_top_state(st: StateStmt, env) -> np.ndarray:
         vec = _collapse_value(_eval_sexpr(st.expr, env), st.expr)
         vec_norm = norm(vec)
     if abs(vec_norm - 1.0) > TOL_NORM:
+        # normalize(...) of a vector whose norm overflows fails as well
+        hint = ("wrap the expression in normalize(...)" if math.isfinite(vec_norm)
+                else "its norm overflows a float")
         raise ScenarioParseError(
-            f"state {st.name!r} is not normalized (norm {vec_norm:.12g}); "
-            "wrap the expression in normalize(...)", st.line, 1)
+            f"state {st.name!r} is not normalized (norm {vec_norm:.12g}); {hint}",
+            st.line, 1)
     return vec
 
 

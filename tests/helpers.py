@@ -85,6 +85,8 @@ MALFORMED_INPUTS = [
     (f"state x = normalize({BIG_308} |0> + {BIG_308} |0>)\n", 1),
     (f"state x = normalize({BIG_200} |0> + {BIG_200} |1>)\n", 1),
     (f"state x = normalize({BIG_200} |0> * {BIG_200} |0>)\n", 1),
+    # a finite state whose norm overflows, with no normalize(...) to point at
+    (f"state x = {BIG_200} |0> + {BIG_200} |1>\n", 1),
 ]
 
 

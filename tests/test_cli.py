@@ -111,28 +111,37 @@ def test_norm_error_reports_deviation_and_tolerance(capsys, command):
 
 
 def test_refute_passes(capsys):
-    code, out, err = run_cli(capsys, "refute", "--rotations", "25")
+    code, out, err = run_cli(capsys, "refute")
     assert code == 0
     assert "P(F=+1)=0.0833333333333 (= 1/12)" in out
     assert "refutation verified" in out
 
 
 def test_refute_reports_are_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "refute", "--seed", "4", "--rotations", "25")
-    _, second, _ = run_cli(capsys, "refute", "--seed", "4", "--rotations", "25")
+    _, first, _ = run_cli(capsys, "refute")
+    _, second, _ = run_cli(capsys, "refute")
     assert first == second
 
 
 def test_refute_tightened_invariance_tolerance_fails_stage_4(capsys):
-    code, out, err = run_cli(capsys, "refute", "--rotations", "25",
-                             "--tol", "inv=1e-16")
+    # below the rounding of F's exact zero commutator with S_x (2.8e-17)
+    code, out, err = run_cli(capsys, "refute", "--tol", "inv=1e-18")
     assert code == 1
+    assert re.search(r"F under equal rotations: \S+ at S_x -> NOT invariant", out)
+    assert "FAILED at stage 4" in out
+
+
+def test_refute_invariance_tolerance_above_the_per_site_residual_fails_stage_4(capsys):
+    # the per-site verdict reads the same tolerance: 2/3 is no longer above it
+    code, out, err = run_cli(capsys, "refute", "--tol", "inv=0.7")
+    assert code == 1
+    assert "F under per-site rotations: 6.667e-01 at sigma_z on site 1 -> invariant" in out
     assert "FAILED at stage 4" in out
 
 
 def test_refute_text_and_json_numeric_parity(capsys):
-    _, text, _ = run_cli(capsys, "refute", "--rotations", "25")
-    _, raw, _ = run_cli(capsys, "refute", "--rotations", "25", "--format", "json")
+    _, text, _ = run_cli(capsys, "refute")
+    _, raw, _ = run_cli(capsys, "refute", "--format", "json")
     report = json.loads(raw)
     assert report["passed"] is True
     stage2 = report["stages"][1]
@@ -229,7 +238,7 @@ def test_deep_nesting_is_one_parse_error_line(capsys, tmp_path, shape):
 
 
 def test_refute_stages_are_the_standalone_audits(capsys):
-    flags = ["--seed", "5", "--rotations", "10", "--format", "json"]
+    flags = ["--tol", "inv=1e-12", "--format", "json"]
     _, raw, _ = run_cli(capsys, "refute", *flags)
     stages = json.loads(raw)["stages"]
     _, raw, _ = run_cli(capsys, "audit-function", "--format", "json")
@@ -240,6 +249,11 @@ def test_refute_stages_are_the_standalone_audits(capsys):
     assert stages[2]["witness"] == function["witness"]
     assert stages[3]["results"] == invariance["results"]
     assert stages[3]["passed"] == invariance["passed"]
+    assert [(r["observable"], r["pattern"], r["invariant"], r["generator"])
+            for r in invariance["results"]] == [
+        ("F", "equal", True, "S_x"), ("G", "equal", True, "S_x"),
+        ("F", "per_site", False, "sigma_z on site 1"),
+        ("G", "per_site", False, "sigma_z on site 1")]
 
 
 def test_audit_function(capsys):
@@ -250,9 +264,9 @@ def test_audit_function(capsys):
 
 
 def test_audit_invariance(capsys):
-    code, out, err = run_cli(capsys, "audit-invariance", "--rotations", "25")
+    code, out, err = run_cli(capsys, "audit-invariance")
     assert code == 0
-    assert "invariant" in out
+    assert re.search(r"F under equal rotations: \S+ at S_x -> invariant", out)
     assert "verdict: PASS" in out
 
 
@@ -276,8 +290,8 @@ def test_missing_input_file_exit_3(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["refute", "--rotations", "0"],
-    ["audit-invariance", "--rotations", "-3"],
+    ["refute", "--rotations", "100"],   # the removed flag, at its old default
+    ["sample", str(REFUTATION_SCENARIO), "--trials", "0"],
     ["audit-function", "--seed", "-1"],
     ["sample", str(REFUTATION_SCENARIO), "--seed", "-1"],
     ["sample", str(REFUTATION_SCENARIO), "--trials", "9223372036854775808"],
@@ -303,10 +317,10 @@ def test_undecodable_scenario_exit_2_without_traceback(tmp_path):
 # The flags and `--tol` names each command reads; every other one is exit 2.
 COMMAND_FLAGS = {
     "run": ({"--tol", "--format"}, ("assert", "zero", "norm")),
-    "refute": ({"--seed", "--rotations", "--tol", "--format"}, ("corr", "zero", "inv")),
+    "refute": ({"--tol", "--format"}, ("corr", "zero", "inv")),
     "sample": ({"--seed", "--trials", "--tol", "--format"}, ("norm",)),
     "audit-function": ({"--format"}, ()),
-    "audit-invariance": ({"--seed", "--rotations", "--tol", "--format"}, ("inv",)),
+    "audit-invariance": ({"--tol", "--format"}, ("inv",)),
 }
 
 
@@ -336,6 +350,8 @@ def test_help_lists_only_the_flags_the_command_reads(capsys, command):
      "tolerance assert must be positive and finite, got inf"),
     (["refute", "--tol", "corr=1e400"],
      "tolerance corr must be positive and finite, got 1e400"),
+    (["audit-invariance", "--rotations", "5"], "unrecognized arguments: --rotations 5"),
+    (["refute", "--seed", "3"], "unrecognized arguments: --seed 3"),
 ])
 def test_bad_command_line_is_one_argument_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -346,11 +362,11 @@ def test_bad_command_line_is_one_argument_error_line(capsys, argv, message):
 
 
 def test_parser_reuse_keeps_no_tolerance_between_calls(capsys):
-    code, _, _ = run_cli(capsys, "refute", "--rotations", "25", "--tol", "inv=1e-16")
+    code, _, _ = run_cli(capsys, "refute", "--tol", "corr=0.5")
     assert code == 1
-    code, out, _ = run_cli(capsys, "refute", "--rotations", "25", "--format", "json")
+    code, out, _ = run_cli(capsys, "refute", "--format", "json")
     assert code == 0
-    proc = run_fresh("refute", "--rotations", "25", "--format", "json")
+    proc = run_fresh("refute", "--format", "json")
     assert proc.returncode == 0
     assert out == proc.stdout
 
@@ -387,8 +403,8 @@ def test_exit_code_contract(tmp_path):
         "--seed": st.sampled_from(["0", "7", "-1", "x", "9223372036854775808", "1" + "0" * 40]),
         "--trials": st.sampled_from(["1", "1000", "0", "-5", "1.5",
                                      "9223372036854775807", "9223372036854775808"]),
-        # small, so that one example stays fast
-        "--rotations": st.sampled_from(["1", "3", "50", "0", "-2", "x"]),
+        # no command reads it any more
+        "--rotations": st.sampled_from(["1", "100", "0", "-2", "x"]),
         "--format": st.sampled_from(["text", "json", "junk"]),
     }
     every_flag = sorted(values) + ["--tol"]
@@ -410,7 +426,10 @@ def test_exit_code_contract(tmp_path):
         if (command in ("run", "sample")) != misplaced:
             argv.insert(1, data.draw(st.sampled_from(inputs)))
         formats = [value for name, value in flags if name == "--format"]
-        _assert_contract(argv, json_report=bool(formats) and formats[-1] == "json")
+        code = _assert_contract(argv, json_report=bool(formats) and formats[-1] == "json")
+        # a flag the command does not read, --rotations on every command, is exit 2
+        if not {name for name, _ in flags} <= own_flags:
+            assert code == 2, argv
 
     check()
     # Most drawn command lines stop at an argument error; give every input

@@ -1,0 +1,55 @@
+"""The engine's rotation-invariance residuals against exact rational
+arithmetic (tests/exact_oracle.py)."""
+
+import math
+from fractions import Fraction
+
+import exact_oracle
+from spinzero.observables import invariance_residual, observable_f, observable_g
+
+
+def test_spin_zero_pair_is_rational_and_orthonormal():
+    phi0, root3_phi1 = exact_oracle.spin_zero_pair()
+    assert set(phi0) == {0, Fraction(1, 2), Fraction(-1, 2)}
+    assert set(root3_phi1) == {0, 1, Fraction(-1, 2)}
+    assert exact_oracle.dot(phi0, phi0) == 1
+    assert exact_oracle.dot(root3_phi1, root3_phi1) == 3
+    assert exact_oracle.dot(phi0, root3_phi1) == 0
+
+
+def test_engine_f_is_the_rational_f():
+    f = exact_oracle.observable_f()
+    m = observable_f().matrix()
+    assert not m.imag.any()
+    # Measured: 0.58 ulp of 1 at worst (1.3e-16).
+    worst = max(abs(Fraction(m[r, c].real) - f[r][c])
+                for r in range(exact_oracle.DIM) for c in range(exact_oracle.DIM))
+    assert worst <= 4 * Fraction(math.ulp(1.0))
+
+
+def test_f_commutes_exactly_with_total_spin():
+    f = exact_oracle.observable_f()
+    for axis in "xyz":
+        assert exact_oracle.commutator_max_entry(f, exact_oracle.total_spin(axis)) == 0
+    # The engine's float: 2.8e-17, an eighth of an ulp of 1, from rounding
+    # alone; G is F's matrix on the second party's sites.
+    for obs in (observable_f(), observable_g()):
+        residual, _ = invariance_residual(obs, "equal")
+        assert residual <= 1e-15
+
+
+def test_largest_per_site_commutator_entry_is_two_thirds():
+    f = exact_oracle.observable_f()
+    # in the engine's generator order: site by site, then x, y, z
+    entries = [((site, axis),
+                exact_oracle.commutator_max_entry(f, exact_oracle.pauli_on_site(axis, site)))
+               for site in range(1, exact_oracle.QUBITS + 1) for axis in "xyz"]
+    largest = max(entry for _, entry in entries)
+    assert largest == Fraction(2, 3)
+    (site, axis), _ = next(item for item in entries if item[1] == largest)
+    for obs in (observable_f(), observable_g()):
+        residual, generator = invariance_residual(obs, "per_site")
+        assert generator == f"sigma_{axis} on site {site}" == "sigma_z on site 1"
+        # Measured error: 1/3 ulp, as 0.6666666666666666 is the double nearest 2/3.
+        ulps = abs(Fraction(residual) - largest) / Fraction(math.ulp(2 / 3))
+        assert ulps <= 4

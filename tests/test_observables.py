@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -7,6 +8,7 @@ from spinzero.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TOL_INVARIANCE,
     DimensionMismatchError,
     NonUnitaryError,
     commutator,
@@ -22,6 +24,7 @@ from spinzero.observables import (
     check_invariance,
     embed,
     from_matrix,
+    invariance_residual,
     is_function_of,
     joint_eigenspaces,
     observable_f,
@@ -346,6 +349,65 @@ def test_batched_invariance_bits_equal_per_trial_reference(build):
 def test_random_su2_bits_equal_single_draw_reference():
     for seed in range(200):
         assert np.array_equal(random_su2(seed), _reference_su2(np.random.default_rng(seed)))
+
+
+# ---------------------------------------------------------------------------
+# invariance decided from the su(2) generators, against the sampled audit
+
+def _sampled_invariant(obs, pattern, trials, seed):
+    """The sampled oracle: invariant when no drawn rotation moves the matrix
+    by TOL_INVARIANCE; not invariant when at least 95% of the draws move an
+    entry by more than 1e-3 (a generic rotation moves a non-invariant
+    matrix by O(1)); None when neither holds."""
+    report = check_invariance(obs, pattern=pattern, trials=trials, seed=seed)
+    if report.invariant:
+        return True
+    if sum(d > 1e-3 for d in report.deviations) >= math.ceil(0.95 * trials):
+        return False
+    return None
+
+
+def _random_observable(n, seed):
+    return from_matrix(random_hermitian(2 ** n, np.random.default_rng(seed)), name=f"h{n}")
+
+
+@pytest.mark.parametrize("build, trials", [
+    (observable_f, 100),
+    (observable_g, 100),
+    (lambda: from_matrix(total_spin_squared(4)), 100),
+    (lambda: from_matrix(total_spin_squared(5)), 100),
+    (lambda: from_matrix(total_spin_squared(6)), 100),
+    (lambda: _random_observable(4, 23), 100),
+    (lambda: _random_observable(5, 29), 100),
+    (lambda: pauli("z", 1, 8), 20),
+    (lambda: embed(observable_f(), [1, 2, 3, 4], 10), 2),
+], ids=["F", "G", "S2-4", "S2-5", "S2-6", "random-4", "random-5", "z1-of-8", "F-of-10"])
+def test_generator_verdicts_equal_sampled_verdicts(build, trials):
+    obs = build()
+    for pattern, seed in (("equal", 11), ("per_site", 12)):
+        residual, _ = invariance_residual(obs, pattern)
+        assert _sampled_invariant(obs, pattern, trials, seed) is (residual <= TOL_INVARIANCE)
+
+
+def test_invariance_witness_is_named_by_register_site():
+    assert invariance_residual(pauli("z", 3, 8), "equal") == (1.0, "S_x")
+    assert invariance_residual(pauli("z", 3, 8), "per_site") == (2.0, "sigma_x on site 3")
+    wide = embed(observable_f(), [7, 2, 9, 4], 10)
+    for pattern in ("equal", "per_site"):
+        residual, _ = invariance_residual(observable_f(), pattern)
+        assert invariance_residual(wide, pattern)[0] == residual
+    assert invariance_residual(wide, "per_site")[1] == "sigma_z on site 7"
+
+
+def test_invariance_residual_of_the_identity_is_zero():
+    identity = SpectralObservable(branches=((1.0, np.eye(8)),), name="id")
+    assert invariance_residual(identity, "equal") == (0.0, "S_x")
+    assert invariance_residual(identity, "per_site") == (0.0, "sigma_x on site 1")
+
+
+def test_invariance_residual_rejects_unknown_pattern():
+    with pytest.raises(ValueError, match="pattern must be"):
+        invariance_residual(observable_f(), "global")
 
 
 def test_from_matrix_separates_branches_at_its_cluster_tol():

@@ -163,6 +163,18 @@ def test_overflow_in_a_state_expression_points_at_the_operation():
         assert str(err.value).endswith(f"{what} overflows a float")
 
 
+def test_normalize_is_hinted_only_for_a_finite_norm():
+    with pytest.raises(ScenarioParseError) as err:
+        parse_state("2 |0>")
+    assert str(err.value).endswith(
+        "state 'x' is not normalized (norm 2); wrap the expression in normalize(...)")
+    # normalize(...) of this sum fails at 'normalize(' (see above), so no hint
+    with pytest.raises(ScenarioParseError) as err:
+        parse_state(f"{BIG_200} |0> + {BIG_200} |1>")
+    assert str(err.value).endswith(
+        "state 'x' is not normalized (norm inf); its norm overflows a float")
+
+
 def test_undecodable_file_reports_first_bad_byte(tmp_path):
     path = tmp_path / "bad.qsc"
     # CRLF endings; columns count characters, so the two-byte e-acute is one.

@@ -50,5 +50,20 @@ def _defaulted_parameters() -> dict[str, tuple[str, ...]]:
     return found
 
 
+# Exact decisions: no tolerance, seed or trial count to set.
+NO_KNOBS = {
+    "observables.invariance_residual": ("obs", "pattern"),
+}
+
+
 def test_defaulted_parameters_are_the_expected_knobs():
     assert _defaulted_parameters() == EXPECTED
+
+
+def test_exact_decisions_take_no_knob():
+    for name, parameters in NO_KNOBS.items():
+        module_name, _, attr = name.partition(".")
+        fn = getattr(importlib.import_module(f"spinzero.{module_name}"), attr)
+        signature = inspect.signature(fn).parameters.values()
+        assert tuple(p.name for p in signature) == parameters
+        assert all(p.default is p.empty for p in signature)
