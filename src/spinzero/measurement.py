@@ -185,22 +185,28 @@ def run_sequence(state, program, outcomes, *,
 
 def _sequence_paths(state, program, norm_tol: float):
     """All outcome strings of a sequential program with their exact joint
-    probabilities ||P_k ... P_1 |state>||^2 (kept even when zero)."""
+    probabilities ||P_k ... P_1 |state>||^2 (kept even when zero).
+
+    The outcome tree is walked one depth at a time.  The projected states of
+    a depth are the rows of one stack, each branch projects the whole stack
+    in one call, and the results interleave path-major, branch-minor, which
+    is the outcome order.  Each row gets the bits of projecting it alone
+    (`SpectralObservable._apply` names the one exception).
+    """
     program = list(program)
     if not program:
         raise ValueError("program must contain at least one observable")
     state = _require_measurable(state, program[0], norm_tol)
-    paths = [((), state)]
+    outcomes = [()]
+    rows = state[None]
     for obs in program:
         if obs.dim != state.shape[0]:
             raise DimensionMismatchError(
                 f"observable dim {obs.dim} does not match state dim {state.shape[0]}")
-        grown = []
-        for outcome, vec in paths:
-            for ev, basis in obs.local_branches:
-                grown.append((outcome + (ev,), obs._project(basis, vec)))
-        paths = grown
-    return [(outcome, float(np.vdot(vec, vec).real)) for outcome, vec in paths]
+        parts = [obs._project(basis, rows) for _, basis in obs.local_branches]
+        rows = np.stack(parts, axis=1).reshape(-1, obs.dim)
+        outcomes = [outcome + (ev,) for outcome in outcomes for ev in obs.eigenvalues]
+    return [(outcome, float(np.vdot(row, row).real)) for outcome, row in zip(outcomes, rows)]
 
 
 def sequence_distribution(state, program, *,

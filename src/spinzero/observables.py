@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -145,35 +146,44 @@ class SpectralObservable:
 
     def _apply(self, basis: np.ndarray, arr: np.ndarray, *,
                adjoint: bool = False) -> np.ndarray:
-        """The projection kernel: B arr, or B^dagger arr when `adjoint`,
-        for B a local branch basis lifted onto the register.
+        """The projection kernel: B v, or B^dagger v when `adjoint`, for B a
+        local branch basis lifted onto the register and v a vector or each
+        row of a stack of vectors (the register on the last axis).
 
-        `arr` is a vector or a matrix of columns.  B is never formed: the
-        register axes of `arr` are split into one axis per qubit, only the
-        site axes are contracted with the local basis, and the einsum output
-        subscripts put the axes back in order.  Coefficients are ordered
-        (local column, then the other qubits ascending), the column order of
-        the dense view.  Plain einsum, not BLAS: BLAS kernels fuse
-        multiply-adds, which leaves ~1e-34 residues where an impossible
-        outcome's amplitudes cancel exactly.  When the sites are the whole
-        register in order, BLAS products apply B directly (~80 us against
-        ~1 ms in einsum for a 64-row block), keeping those reports' digits.
+        B is never formed: the register axis of `arr` is split into one axis
+        per qubit, only the site axes are contracted with the local basis,
+        and the einsum output subscripts put the axes back in order.
+        Coefficients are ordered (local column, then the other qubits
+        ascending), the column order of the dense view.  Plain einsum, not
+        BLAS: BLAS kernels fuse multiply-adds, which leaves ~1e-34 residues
+        where an impossible outcome's amplitudes cancel exactly.  When the
+        sites are the whole register in order, BLAS applies B directly, one
+        matrix-vector product per vector (~40 us against ~150 us in einsum
+        for 64 vectors and a 64 x 27 basis), keeping those reports' digits.
+
+        The stack's batch axis leads, so einsum contracts each vector as it
+        would contract it alone, and each gets the same bits.  The one
+        exception is an observable whose sites permute the whole register
+        (no other qubits): einsum may then sum a lone vector in another
+        grouping, and the two differ in the last bits.
         """
         if self._subscripts is None:
-            return basis.conj().T @ arr if adjoint else basis @ arr
+            op = basis.conj().T if adjoint else basis
+            return np.matmul(op, arr[..., None])[..., 0]
         to_local, to_register = self._subscripts
         k = len(self.sites)
-        batch = arr.shape[1:]
+        batch = arr.shape[:-1]
         tensor = basis.reshape((2,) * k + basis.shape[1:])
         if adjoint:
-            out = np.einsum(to_local, tensor.conj(), arr.reshape((2,) * self.n_qubits + batch))
-            return out.reshape((-1,) + batch)
+            out = np.einsum(to_local, tensor.conj(), arr.reshape(batch + (2,) * self.n_qubits))
+            return out.reshape(batch + (-1,))
         rest = (2,) * (self.n_qubits - k)
-        out = np.einsum(to_register, tensor, arr.reshape(basis.shape[1:] + rest + batch))
-        return out.reshape((self.dim,) + batch)
+        out = np.einsum(to_register, tensor, arr.reshape(batch + basis.shape[1:] + rest))
+        return out.reshape(batch + (self.dim,))
 
     def _project(self, basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
-        """B B^dagger arr: projection onto a lifted local branch basis."""
+        """B B^dagger v for each vector v of `arr`: projection onto a lifted
+        local branch basis."""
         return self._apply(basis, self._apply(basis, arr, adjoint=True))
 
     def _dense(self, basis: np.ndarray) -> np.ndarray:
@@ -289,7 +299,7 @@ def _einsum_subscripts(sites, n: int) -> tuple[str, str] | None:
     local = "".join(axes[s - 1] for s in sites) + "R"
     rest = "R" + "".join(a for q, a in enumerate(axes, start=1) if q not in sites)
     register = "".join(axes)
-    return f"{local},{register}...->{rest}...", f"{local},{rest}...->{register}..."
+    return f"{local},...{register}->...{rest}", f"{local},...{rest}->...{register}"
 
 
 def _lift_columns(basis: np.ndarray, sites, n: int) -> np.ndarray:
@@ -362,12 +372,25 @@ class FunctionReport:
             raise ValueError("a negative report carries a witness and no value table")
 
 
-def _orthonormal_columns(block: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, empty when the span is trivial."""
-    if block.shape[1] == 0:
-        return block
-    u, s, _ = np.linalg.svd(block, full_matrices=False)
-    return u[:, s > TOL_RANK]
+def _orthonormal_rows(blocks) -> list[np.ndarray]:
+    """Orthonormal bases (as rows) of the row spans of `blocks`, empty when
+    a span is trivial: the right singular vectors above TOL_RANK, from one
+    stacked SVD per block shape."""
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, block in enumerate(blocks):
+        shapes.setdefault(block.shape, []).append(i)
+    out = [None] * len(blocks)
+    for members in shapes.values():
+        _, s, vh = np.linalg.svd(np.stack([blocks[i] for i in members]), full_matrices=False)
+        # singular values come in descending order, so the kept rows lead
+        for i, rank, vhi in zip(members, (s > TOL_RANK).sum(axis=1).tolist(), vh):
+            out[i] = vhi[:rank]
+    return out
+
+
+def _split_rows(stack: np.ndarray, sizes) -> list[np.ndarray]:
+    """The consecutive runs of `sizes` rows of a stack, as views."""
+    return [stack[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
 
 def _check_commuting(observables) -> None:
@@ -400,18 +423,29 @@ def joint_eigenspaces(generators):
     if not generators:
         raise ValueError("need at least one generator")
     _check_commuting(generators)
+    # The joint eigenspaces of a level are consecutive runs of orthonormal
+    # rows in one stack.  A generator refines all of them at once: per
+    # branch, one call takes the coefficients of every space, and one lifts
+    # their orthonormalized coefficients back onto the register.
     dim = generators[0].dim
-    spaces = [((), np.eye(dim, dtype=complex))]
+    outcomes, sizes, rows = [()], [dim], np.eye(dim, dtype=complex)
     for gen in generators:
-        refined = []
-        for outcome, basis in spaces:
-            for ev, branch in gen.local_branches:
-                projected = gen._project(branch, basis)
-                q = _orthonormal_columns(projected)
-                if q.shape[1] > 0:
-                    refined.append((outcome + (ev,), q))
-        spaces = refined
-    return spaces
+        branches = gen.local_branches
+        coeffs = [block for _, branch in branches
+                  for block in _split_rows(gen._apply(branch, rows, adjoint=True), sizes)]
+        del rows  # one register-sized block less through the SVDs
+        kept = _orthonormal_rows(coeffs)
+        lifted = []
+        for b, (_, branch) in enumerate(branches):
+            qs = kept[b * len(sizes):(b + 1) * len(sizes)]
+            lifted.append(_split_rows(gen._apply(branch, np.vstack(qs)), [len(q) for q in qs]))
+        nodes = [(outcome + (ev,), per_branch[s])
+                 for s, outcome in enumerate(outcomes)
+                 for (ev, _), per_branch in zip(branches, lifted) if len(per_branch[s])]
+        outcomes = [outcome for outcome, _ in nodes]
+        sizes = [len(q) for _, q in nodes]
+        rows = np.vstack([q for _, q in nodes])
+    return [(outcome, q.T) for outcome, q in zip(outcomes, _split_rows(rows, sizes))]
 
 
 def is_function_of(f: SpectralObservable, generators) -> FunctionReport:
@@ -432,7 +466,7 @@ def is_function_of(f: SpectralObservable, generators) -> FunctionReport:
     for outcome, basis in joint_eigenspaces(generators):
         value = None
         for ev, branch in f.local_branches:
-            residual = max_abs(f._project(branch, basis) - basis)
+            residual = max_abs(f._project(branch, basis.T) - basis.T)
             if residual <= TOL_RANK:
                 value = ev
                 break

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +32,7 @@ TOL_INVARIANCE = 1e-9  # rotation-invariance verdicts
 TOL_CORR = 1e-9        # perfect-correlation verdicts
 TOL_ZERO = 1e-14       # impossible-branch threshold on probabilities
 TOL_ASSERT = 1e-9      # scenario assert_prob comparisons
+TOL_NULL = 1e-12       # norm below which a vector counts as zero
 
 DEFAULT_TOLERANCES = {
     "norm": TOL_NORM,
@@ -118,7 +119,7 @@ def norm(state: np.ndarray) -> float:
 
 def normalize(state: np.ndarray) -> np.ndarray:
     n = norm(state)
-    if n < 1e-12:
+    if n < TOL_NULL:
         raise ValueError("cannot normalize a zero vector")
     return np.asarray(state, dtype=complex) / n
 
@@ -131,14 +132,19 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise CapacityError(
             f"tensor product of {num_qubits(a)} and {num_qubits(b)} qubits "
             f"exceeds the {MAX_QUBITS}-qubit maximum")
-    return np.kron(a, b)
+    return _kron_all((a, b))
 
 
 def _kron_all(factors) -> np.ndarray:
-    """Kronecker product of one or more factors, left to right; a fresh
-    complex array even for a single factor."""
+    """Kronecker product of one or more vectors, left to right; a fresh
+    complex array even for a single factor.  Each step flattens an outer
+    product, which forms the elementwise products of `np.kron` bit for bit
+    without its per-call overhead."""
     first, *rest = factors
-    return reduce(np.kron, rest, np.array(first, dtype=complex))
+    out = np.array(first, dtype=complex)
+    for factor in rest:
+        out = np.multiply.outer(out, factor).reshape(-1)
+    return out
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -178,7 +184,7 @@ def max_abs(arr) -> float:
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 for normalized inputs (inputs are normalized internally)."""
     na, nb = norm(a), norm(b)
-    if na < 1e-12 or nb < 1e-12:
+    if na < TOL_NULL or nb < TOL_NULL:
         raise ValueError("fidelity of a zero vector is undefined")
     return abs(inner(a, b)) ** 2 / (na * na * nb * nb)
 

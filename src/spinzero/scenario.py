@@ -41,8 +41,10 @@ from .qcore import (
     TOL_CORR,
     TOL_FIDELITY,
     TOL_NORM,
+    TOL_NULL,
     TOL_ZERO,
     CapacityError,
+    _kron_all,
     as_state,
     fidelity,
     norm,
@@ -704,7 +706,8 @@ def _eval_sexpr(node, env):
             raise ScenarioParseError(
                 f"tensor product exceeds the {MAX_QUBITS}-qubit maximum",
                 node.line, node.col)
-        return ("plain", _finite(np.kron(lvec, rvec), "tensor product", node.line, node.col))
+        return ("plain", _finite(_kron_all((lvec, rvec)), "tensor product",
+                                 node.line, node.col))
     if isinstance(node, Sum):
         first = node.terms[0]
         total = _collapse_value(_eval_sexpr(first, env), first)
@@ -725,7 +728,7 @@ def _eval_sexpr(node, env):
         n = norm(vec)
         if not math.isfinite(n):
             raise ScenarioParseError("norm overflows a float", node.line, node.col)
-        if n < 1e-12:
+        if n < TOL_NULL:
             raise ScenarioParseError("cannot normalize a zero vector",
                                      node.line, node.col)
         return ("plain", vec / n)

@@ -87,7 +87,7 @@ def singlet_on(i: int, j: int, n: int, filler=None) -> np.ndarray:
         filler = as_state(filler)
         if num_qubits(filler) != len(rest):
             raise ValueError(f"filler must cover {len(rest)} qubits, got {num_qubits(filler)}")
-        vec = np.kron(vec, filler)
+        vec = _kron_all((vec, filler))
     order = [0] * n
     order[i - 1] = 1
     order[j - 1] = 2
@@ -112,7 +112,7 @@ def spin_zero_basis() -> SpinZeroBasis:
     crossed pairing (1,3)(2,4).  Both vectors are annihilated by the total
     spin squared and are pointwise fixed by any equal rotation U x U x U x U.
     """
-    phi0 = np.kron(SINGLET_2, SINGLET_2)
+    phi0 = _kron_all((SINGLET_2, SINGLET_2))
     crossed = singlet_on(1, 3, 4, filler=SINGLET_2)
     phi1 = (2.0 * crossed - phi0) / math.sqrt(3.0)
     return SpinZeroBasis(phi0=phi0, phi1=phi1)
@@ -127,7 +127,7 @@ def eta_tilde() -> np.ndarray:
     """
     pair = spin_zero_basis()
     bob = (pair.phi0 + math.sqrt(3.0) * pair.phi1) / 2.0
-    return np.kron(basis_ket("00++"), bob)
+    return _kron_all((basis_ket("00++"), bob))
 
 
 def total_spin_squared(n: int) -> np.ndarray:

@@ -179,3 +179,37 @@ def scenario_corpus(rng, count: int) -> list[str]:
             continue
         corpus.append(text)
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# per-node references for the engine's two outcome trees: one projection per
+# node, the loops the batched walks in spinzero replace
+
+
+def per_node_paths(state, program):
+    """(outcome string, probability) of every path of a sequential program,
+    each node projected on its own."""
+    paths = [((), np.asarray(state, dtype=complex))]
+    for obs in program:
+        paths = [(outcome + (ev,), obs._project(basis, vec))
+                 for outcome, vec in paths for ev, basis in obs.local_branches]
+    return [(outcome, float(np.vdot(vec, vec).real)) for outcome, vec in paths]
+
+
+def per_node_eigenspaces(generators):
+    """Joint eigenspaces refined one (space, branch) node at a time, each
+    projected onto the register and orthonormalized by its own SVD."""
+    from spinzero.qcore import TOL_RANK
+
+    dim = generators[0].dim
+    spaces = [((), np.eye(dim, dtype=complex))]
+    for gen in generators:
+        refined = []
+        for outcome, basis in spaces:
+            for ev, branch in gen.local_branches:
+                projected = gen._project(branch, basis.T).T
+                u, s, _ = np.linalg.svd(projected, full_matrices=False)
+                if (s > TOL_RANK).any():
+                    refined.append((outcome + (ev,), u[:, s > TOL_RANK]))
+        spaces = refined
+    return spaces

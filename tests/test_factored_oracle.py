@@ -17,10 +17,17 @@ from spinzero.measurement import (
     sequence_distribution,
 )
 from spinzero.observables import embed, from_matrix, joint_eigenspaces, observable_f, pauli
-from spinzero.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, random_state
+from spinzero.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, normalize, random_state
 from spinzero.scenario import parse_scenario_file
+from spinzero.states import basis_ket, total_spin_squared
 
-from helpers import PHI0_EXPECTED, PHI1_EXPECTED, kron_chain
+from helpers import (
+    PHI0_EXPECTED,
+    PHI1_EXPECTED,
+    kron_chain,
+    per_node_eigenspaces,
+    per_node_paths,
+)
 
 REFUTATION_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "refutation.qsc"
 _PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
@@ -162,3 +169,91 @@ def test_impossible_outcome_is_exactly_zero():
     assert born_distribution(post, sx3).probability(-1.0) == 0.0
     with pytest.raises(ZeroProbabilityError):
         collapse(post, sx3, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched tree walks against their per-node references
+
+
+def sum_of_product_kets(rng, n, terms=3):
+    coeffs = (1.0, -2.0, 1j, np.sqrt(3.0), -np.sqrt(5.0) * 1j)
+    return normalize(sum(coeffs[rng.integers(len(coeffs))]
+                         * basis_ket("".join(rng.choice(list("01+-"), n)))
+                         for _ in range(terms)))
+
+
+def refutation_program():
+    scenario = parse_scenario_file(str(REFUTATION_SCENARIO))
+    names = ("sz1", "sz2", "sx3", "sx4")
+    return scenario.states["post"], [scenario.observables[name] for name in names]
+
+
+def generated_ten_qubit_program():
+    rng = np.random.default_rng(16)
+    sites = rng.choice(np.arange(1, 11), 5, replace=False)
+    return (sum_of_product_kets(rng, 10),
+            [pauli(str(rng.choice(list("xyz"))), int(s), 10) for s in sites])
+
+
+def ten_qubit_program_with_embedded_f():
+    program = [pauli("y", 9, 10), embed(observable_f(), [7, 4, 8, 10], 10),
+               pauli("x", 2, 10), pauli("z", 4, 10)]
+    return random_state(10, np.random.default_rng(2024)), program
+
+
+def site_less_program():
+    n = 4
+    eye = np.eye(2)
+    m = kron_chain(SIGMA_X, SIGMA_X, eye, eye) + 0.5 * kron_chain(eye, eye, SIGMA_Z, SIGMA_Z)
+    program = [pauli("y", 3, n), from_matrix(m, name="m"), observable_f(), pauli("x", 1, n)]
+    return random_state(n, np.random.default_rng(11)), program
+
+
+@pytest.mark.parametrize("make", [refutation_program, generated_ten_qubit_program,
+                                  ten_qubit_program_with_embedded_f, site_less_program])
+def test_sequence_distribution_has_the_bits_of_per_node_projection(make):
+    state, program = make()
+    assert sequence_distribution(state, program).entries == tuple(per_node_paths(state, program))
+
+
+def spin_component(axis, n):
+    """S_a = 1/2 sum_j sigma_a^(j) on n qubits, as a dense matrix."""
+    eye = np.eye(2)
+    return sum(kron_chain(*[_PAULIS[axis] if j == site else eye for j in range(n)])
+               for site in range(n)) / 2
+
+
+def z_generators(n):
+    eye = np.eye(2)
+    return [from_matrix(kron_chain(*[SIGMA_Z if j == site else eye for j in range(n)]))
+            for site in range(n)]
+
+
+def lookup_generators(n):
+    return [pauli("z", 1, n), pauli("z", 2, n), pauli("x", 3, n), pauli("x", 4, n)]
+
+
+def spin_generators(n):
+    # S^2 = 3/4 holds no S_z = +-3/2 vector, so refining by S_z drops spaces.
+    return [from_matrix(total_spin_squared(n), name="S2"),
+            from_matrix(spin_component("z", n), name="Sz")]
+
+
+@pytest.mark.parametrize("make,n", [(lookup_generators, 4), (lookup_generators, 8),
+                                    (z_generators, 4), (z_generators, 5), (z_generators, 6),
+                                    (spin_generators, 3), (spin_generators, 4)])
+def test_joint_eigenspaces_match_per_node_refinement(make, n):
+    generators = make(n)
+    spaces = joint_eigenspaces(generators)
+    reference = per_node_eigenspaces(generators)
+    assert [outcome for outcome, _ in spaces] == [outcome for outcome, _ in reference]
+    for (_, basis), (_, ref) in zip(spaces, reference):
+        assert basis.shape == ref.shape
+        assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-10)
+        assert np.allclose(basis @ basis.conj().T, ref @ ref.conj().T, atol=1e-10)
+
+
+def test_refinement_drops_empty_spaces_in_branch_order():
+    outcomes = [outcome for outcome, _ in joint_eigenspaces(spin_generators(3))]
+    assert outcomes == [(3.75, 1.5), (3.75, 0.5), (3.75, -0.5), (3.75, -1.5),
+                        (0.75, 0.5), (0.75, -0.5)]

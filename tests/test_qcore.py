@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,9 +24,19 @@ from spinzero.qcore import (
     permute_qubits,
     random_hermitian,
     random_state,
+    _kron_all,
     tensor,
 )
-from spinzero.states import basis_ket, spin_zero_basis, total_spin_squared
+from spinzero.states import (
+    AXIS_KETS,
+    SINGLET_2,
+    basis_ket,
+    singlet,
+    singlet_on,
+    spin_zero_basis,
+    total_spin_squared,
+)
+from spinzero.scenario import parse_scenario
 from spinzero.observables import observable_f, pauli
 
 from helpers import PHI1_EXPECTED, product_ket
@@ -66,6 +77,45 @@ def test_tensor_capacity_error():
     other[0] = 1.0
     with pytest.raises(CapacityError):
         tensor(big, other)
+
+
+def assert_same_array(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_product_kets_have_the_bits_of_np_kron():
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        chars = "".join(rng.choice(list("01+-"), int(rng.integers(1, MAX_QUBITS + 1))))
+        kets = [AXIS_KETS[c] for c in chars]
+        assert_same_array(_kron_all(kets), reduce(np.kron, kets[1:], kets[0]))
+        assert_same_array(basis_ket(chars), reduce(np.kron, kets[1:], kets[0]))
+        if len(chars) < 2:
+            continue
+        cut = int(rng.integers(1, len(chars)))
+        left, right = basis_ket(chars[:cut]), basis_ket(chars[cut:])
+        assert_same_array(tensor(left, right), np.kron(left, right))
+        state = parse_scenario(f"state x = |{chars[:cut]}> * |{chars[cut:]}>\n").states["x"]
+        assert_same_array(state, np.kron(left, right))
+
+
+def test_qsc_product_of_sums_has_the_bits_of_np_kron():
+    text = "state x = normalize(|01> + i |1->) * normalize(|+> + -1/2*sqrt(3) |1>)\n"
+    left = parse_scenario("state x = normalize(|01> + i |1->)\n").states["x"]
+    right = parse_scenario("state x = normalize(|+> + -1/2*sqrt(3) |1>)\n").states["x"]
+    assert_same_array(parse_scenario(text).states["x"], np.kron(left, right))
+
+
+def test_singlet_chains_have_the_bits_of_np_kron():
+    for pairs in range(1, MAX_QUBITS // 2 + 1):
+        expected = reduce(np.kron, [SINGLET_2] * pairs)
+        assert_same_array(singlet(pairs), expected)
+        text = " * ".join(f"singlet({2 * k + 1},{2 * k + 2})" for k in range(pairs))
+        assert_same_array(parse_scenario(f"state x = {text}\n").states["x"], expected)
+    filler = basis_ket("+0-")
+    assert_same_array(singlet_on(1, 2, 5, filler=filler), np.kron(SINGLET_2, filler))
+    assert_same_array(spin_zero_basis().phi0, np.kron(SINGLET_2, SINGLET_2))
 
 
 def test_tensor_associative():
