@@ -338,7 +338,7 @@ def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> Spect
     branch eigenvalue is its cluster's mean, which lies inside the cluster,
     so adjacent branches pass the constructor's check at the same cluster_tol.
     """
-    decomp = hermitian_eigen(as_operator(m))
+    decomp = hermitian_eigen(m)
     eigenvalues = decomp.eigenvalues
     branches = []
     start = 0

@@ -276,26 +276,53 @@ def _exact_blocks(h: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _jacobi_sweep(hv: np.ndarray, skip: float) -> None:
-    """One sweep, in place, over a block h stacked on its eigenvector rows v
-    (hv = [h; v]).  Every index pair of h meets once, a tournament round of
-    disjoint pairs at a time, and each pair above `skip` is rotated to zero:
-    a rotation acts on the columns of h and v and on the rows of h."""
-    dim = hv.shape[1]
-    h = hv[:dim]
-    for p, q in _tournament(dim):
-        hpq = h[p, q]
+@cache
+def _schedule(sizes: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rounds of one sweep over blocks of the given sizes (each >= 2)
+    laid side by side, block k in columns k*m ... k*m + sizes[k] - 1 with
+    m = max(sizes).  Round r holds round r of every block's own
+    `_tournament`, block after block, as (block, P, Q, column of P, column
+    of Q) index arrays; a block whose tournament is over sits the round out.
+    The arrays are shared, so read-only."""
+    width = max(sizes)
+    tournaments = [_tournament(size) for size in sizes]
+    rounds = []
+    for r in range(max(len(t) for t in tournaments)):
+        parts = [(np.full(len(t[r][0]), k, dtype=np.intp), *t[r])
+                 for k, t in enumerate(tournaments) if r < len(t)]
+        block, p, q = (np.concatenate(side) for side in zip(*parts))
+        arrays = (block, p, q, block * width + p, block * width + q)
+        for arr in arrays:
+            arr.flags.writeable = False
+        rounds.append(arrays)
+    return tuple(rounds)
+
+
+def _jacobi_sweep(hv: np.ndarray, sizes: tuple[int, ...], skip: float) -> None:
+    """One sweep, in place, over the blocks of the given sizes in the
+    zero-padded stack hv of shape (2m, m * len(sizes)), m = max(sizes).
+    Block k sits in columns k*m ... k*m + sizes[k] - 1, its h in the top m
+    rows and its eigenvector rows v underneath.  Every index pair of every
+    block meets once: round r rotates the disjoint pairs of round r of each
+    block's own tournament at once (`_schedule`), and each pair above `skip`
+    is rotated to zero.  A rotation acts on the columns of h and v and on
+    the rows of h; padding entries enter it only as zeros, so they stay
+    zero."""
+    m = hv.shape[0] // 2
+    h = hv[:m]
+    rows = h.reshape(m, len(sizes), m)
+    for block, p, q, cp, cq in _schedule(sizes):
+        hpq = h[p, cq]
         active = np.abs(hpq) > skip
         if not active.any():
             continue
         if not active.all():
-            p, q, hpq = p[active], q[active], hpq[active]
+            block, p, q, cp, cq, hpq = (a[active] for a in (block, p, q, cp, cq, hpq))
         # Per pair, J = diag(phase, 1) @ [[c, s], [-s, c]] with the inner
         # angle |theta| <= pi/4 and t = tan(theta): the symmetric 2x2 Schur
         # step.  The outer angle can stall the iteration.
         r = np.abs(hpq)
-        diag = h.diagonal().real
-        app, aqq = diag[p], diag[q]
+        app, aqq = h[p, cp].real, h[q, cq].real
         tau = (aqq - app) / (2.0 * r)
         t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
         c = 1.0 / np.sqrt(1.0 + t * t)
@@ -304,29 +331,32 @@ def _jacobi_sweep(hv: np.ndarray, skip: float) -> None:
         jpp, jpq = c * phase, s * phase
         # Columns, then rows: h <- J^H h J and v <- v J, from copies of the
         # old columns and rows.
-        colp, colq = hv[:, p], hv[:, q]
-        hv[:, p] = colp * jpp - colq * s
-        hv[:, q] = colp * jpq + colq * c
-        rowp, rowq = h[p], h[q]
-        h[p] = jpp.conj()[:, None] * rowp - s[:, None] * rowq
-        h[q] = jpq.conj()[:, None] * rowp + c[:, None] * rowq
-        h[p, q] = 0.0
-        h[q, p] = 0.0
-        h[p, p] = app - t * r
-        h[q, q] = aqq + t * r
+        colp, colq = hv[:, cp], hv[:, cq]
+        hv[:, cp] = colp * jpp - colq * s
+        hv[:, cq] = colp * jpq + colq * c
+        rowp, rowq = rows[p, block], rows[q, block]
+        rows[p, block] = jpp.conj()[:, None] * rowp - s[:, None] * rowq
+        rows[q, block] = jpq.conj()[:, None] * rowp + c[:, None] * rowq
+        h[p, cq] = 0.0
+        h[q, cp] = 0.0
+        h[p, cp] = app - t * r
+        h[q, cq] = aqq + t * r
 
 
 def hermitian_eigen(m: np.ndarray, *, max_sweeps: int = 100) -> SpectralDecomposition:
     """Jacobi eigensolver for complex Hermitian matrices.
 
     Splits the matrix into the connected blocks of its exact nonzero
-    pattern, then sweeps each block with 2x2 unitary sub-rotations in
-    round-robin order: each round rotates disjoint pairs at once, and a
-    sweep meets every pair once.  Stops when the off-diagonal Frobenius norm
-    drops below TOL_EIG relative to the matrix scale.  Raises
-    NonHermitianError for input more than TOL_HERM from Hermitian and
-    ConvergenceError (with the final residual) if max_sweeps sweeps are not
-    enough.
+    pattern and lays the blocks of two or more indices side by side in one
+    zero-padded stack.  Each sweep applies 2x2 unitary sub-rotations in
+    round-robin order: round r rotates the disjoint pairs of round r of
+    every block's own tournament at once, and a sweep meets every pair of
+    every block once.  Stops when the off-diagonal Frobenius norm drops
+    below TOL_EIG relative to the matrix scale.  Raises
+    DimensionMismatchError or ValueError for input that is not a square
+    finite matrix, NonHermitianError for input more than TOL_HERM from
+    Hermitian and ConvergenceError (with the final residual) if max_sweeps
+    sweeps are not enough.
     """
     a = as_operator(m)
     herm_dev = max_abs(a - a.conj().T)
@@ -341,17 +371,25 @@ def hermitian_eigen(m: np.ndarray, *, max_sweeps: int = 100) -> SpectralDecompos
     residual = _offdiag_norm(h)
     if residual > target:
         blocks = [np.ix_(idx, idx) for idx in _exact_blocks(h) if len(idx) > 1]
-        stacks = [np.vstack([h[ix], v[ix]]) for ix in blocks]
+        sizes = tuple(len(ix[0]) for ix in blocks)
+        width = max(sizes)
+        hv = np.zeros((2 * width, width * len(sizes)), dtype=complex)
+        # (row, block, column) views of the h and v halves of the stack
+        hs = hv[:width].reshape(width, len(sizes), width)
+        vs = hv[width:].reshape(width, len(sizes), width)
+        for k, (ix, size) in enumerate(zip(blocks, sizes)):
+            hs[:size, k, :size] = h[ix]
+            vs[:size, k, :size] = v[ix]
         for _ in range(max_sweeps):
-            for hv in stacks:
-                _jacobi_sweep(hv, skip)
+            _jacobi_sweep(hv, sizes, skip)
             # Entries outside the blocks are exact zeros.
-            residual = math.hypot(*(_offdiag_norm(hv[:hv.shape[1]]) for hv in stacks))
+            residual = math.hypot(*(_offdiag_norm(hs[:size, k, :size])
+                                    for k, size in enumerate(sizes)))
             if residual <= target:
                 break
-        for ix, hv in zip(blocks, stacks):
-            h[ix] = hv[:hv.shape[1]]
-            v[ix] = hv[hv.shape[1]:]
+        for k, (ix, size) in enumerate(zip(blocks, sizes)):
+            h[ix] = hs[:size, k, :size]
+            v[ix] = vs[:size, k, :size]
     if residual > target:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge after {max_sweeps} sweeps "

@@ -53,8 +53,23 @@ def spin_zero_pair() -> tuple[list[Fraction], list[Fraction]]:
     return phi0, [2 * c - p for c, p in zip(crossed, phi0)]
 
 
+def collapsed_state() -> list[Fraction]:
+    """|00++>, the state after the all-up run of sigma_z1, sigma_z2,
+    sigma_x3, sigma_x4: amplitude 1/2 wherever sites 1 and 2 read 0."""
+    return [HALF if _bit(i, 1) == _bit(i, 2) == 0 else ZERO for i in range(DIM)]
+
+
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def born_probabilities(f, state) -> dict[int, Fraction]:
+    """P(F = +1), P(F = 0) and P(F = -1) on a real rational unit state, for
+    a real rational F with F^3 = F (spectrum in {1, 0, -1}): the spectral
+    projectors are the polynomials (F^2 + F)/2, 1 - F^2 and (F^2 - F)/2."""
+    fs = [dot(row, state) for row in f]
+    first, second = dot(state, fs), dot(fs, fs)
+    return {1: (second + first) / 2, 0: dot(state, state) - second, -1: (second - first) / 2}
 
 
 def observable_f() -> list[list[Fraction]]:
@@ -81,7 +96,7 @@ def total_spin(axis: str):
                   for r in range(DIM)] for part in (0, 1))
 
 
-def _matmul(a, b):
+def matmul(a, b):
     return [[sum((a[r][k] * b[k][c] for k in range(DIM)), ZERO) for c in range(DIM)]
             for r in range(DIM)]
 
@@ -90,7 +105,7 @@ def commutator_max_entry(f, generator) -> Fraction:
     """The largest |entry| of [f, generator] for a real rational f, exactly;
     it must be rational (a perfect square under the modulus)."""
     parts = [[[x - y for x, y in zip(row_fg, row_gf)]
-              for row_fg, row_gf in zip(_matmul(f, g), _matmul(g, f))] for g in generator]
+              for row_fg, row_gf in zip(matmul(f, g), matmul(g, f))] for g in generator]
     square = max(re * re + im * im for row_re, row_im in zip(*parts)
                  for re, im in zip(row_re, row_im))
     root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))

@@ -1,10 +1,12 @@
-"""The engine's rotation-invariance residuals against exact rational
-arithmetic (tests/exact_oracle.py)."""
+"""The engine's rotation-invariance residuals and point-1 probabilities
+against exact rational arithmetic (tests/exact_oracle.py)."""
 
+import json
 import math
 from fractions import Fraction
 
 import exact_oracle
+from spinzero.cli import main
 from spinzero.observables import invariance_residual, observable_f, observable_g
 
 
@@ -52,4 +54,20 @@ def test_largest_per_site_commutator_entry_is_two_thirds():
         assert generator == f"sigma_{axis} on site {site}" == "sigma_z on site 1"
         # Measured error: 1/3 ulp, as 0.6666666666666666 is the double nearest 2/3.
         ulps = abs(Fraction(residual) - largest) / Fraction(math.ulp(2 / 3))
+        assert ulps <= 4
+
+
+def test_point_1_probabilities_on_the_collapsed_state(capsys):
+    f = exact_oracle.observable_f()
+    assert exact_oracle.matmul(f, exact_oracle.matmul(f, f)) == f
+    probabilities = exact_oracle.born_probabilities(f, exact_oracle.collapsed_state())
+    assert probabilities == {1: Fraction(1, 12), 0: Fraction(11, 12), -1: 0}
+    assert main(["refute", "--format", "json"]) == 0
+    stage = json.loads(capsys.readouterr().out)["stages"][1]
+    engine = {float(row["outcome"]): row["probability"] for row in stage["distribution"]}
+    assert stage["outcomes"] == "++++" and stage["certainty"] == engine[1]
+    # Measured: P(F=+1) 0.08333333333333333 and P(F=0) 0.9166666666666666 are
+    # the doubles nearest 1/12 and 11/12, and P(F=-1) is exactly 0.
+    for value, exact in probabilities.items():
+        ulps = abs(Fraction(engine[value]) - exact) / Fraction(math.ulp(float(exact)))
         assert ulps <= 4

@@ -425,3 +425,10 @@ def test_from_matrix_clusters_on_consecutive_gaps():
     obs = from_matrix(np.diag([1.0, 1.0 - 0.9e-8, 1.0 - 1.05e-8, 0.0]))
     assert obs.eigenvalues == pytest.approx((1.0 - 0.65e-8, 0.0), abs=1e-15)
     assert [basis.shape[1] for _, basis in obs.branches] == [3, 1]
+
+
+def test_from_matrix_rejects_what_as_operator_rejects():
+    with pytest.raises(DimensionMismatchError, match=r"^operator must be square, got shape \(2, 3\)$"):
+        from_matrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^operator entries must be finite$"):
+        from_matrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))

@@ -25,6 +25,8 @@ from spinzero.qcore import (
     random_hermitian,
     random_state,
     _kron_all,
+    _schedule,
+    _tournament,
     tensor,
 )
 from spinzero.states import (
@@ -39,7 +41,7 @@ from spinzero.states import (
 from spinzero.scenario import parse_scenario
 from spinzero.observables import observable_f, pauli
 
-from helpers import PHI1_EXPECTED, product_ket
+from helpers import PHI1_EXPECTED, per_block_eigen, product_ket
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -234,6 +236,12 @@ def _assert_eigen_oracles(m, dec):
     assert np.allclose(np.sort(dec.eigenvalues), np.linalg.eigvalsh(m), atol=1e-9)
 
 
+def _assert_equals_per_block(m, dec):
+    ref = per_block_eigen(m)
+    assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, ref.eigenvectors)
+
+
 def test_eigen_random_hermitian_properties():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -250,11 +258,13 @@ def test_eigen_converges_on_random_matrices(dim):
         _assert_eigen_oracles(m, hermitian_eigen(m))
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_eigen_total_spin_squared(n):
     # S^2 splits into one exact block per total S_z.
     m = total_spin_squared(n)
-    _assert_eigen_oracles(m, hermitian_eigen(m))
+    dec = hermitian_eigen(m)
+    _assert_eigen_oracles(m, dec)
+    _assert_equals_per_block(m, dec)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5, 7])
@@ -263,23 +273,50 @@ def test_eigen_odd_dimensions(dim):
     _assert_eigen_oracles(m, hermitian_eigen(m))
 
 
+def test_eigen_equals_per_block_reference_on_random_matrices():
+    rng = np.random.default_rng(31)
+    for dim in [*range(2, 17), *rng.integers(17, 33, size=15)]:
+        m = random_hermitian(int(dim), rng)
+        _assert_equals_per_block(m, hermitian_eigen(m))
+
+
 def test_eigen_permuted_block_diagonal():
     rng = np.random.default_rng(23)
-    sizes = (3, 1, 4, 2, 5)
-    m = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    start = 0
-    for size in sizes:
-        m[start:start + size, start:start + size] = random_hermitian(size, rng)
-        start += size
-    perm = rng.permutation(m.shape[0])
-    m, labels = m[np.ix_(perm, perm)], labels[perm]
-    dec = hermitian_eigen(m)
-    _assert_eigen_oracles(m, dec)
-    # Blocks are solved apart, so every eigenvector is exactly zero off its
-    # own block.
-    for column in dec.eigenvectors.T:
-        assert len(set(labels[column != 0])) == 1
+    for sizes in [(3, 1, 4, 2, 5), (2, 17), (1, 1, 9)]:
+        m = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        start = 0
+        for size in sizes:
+            m[start:start + size, start:start + size] = random_hermitian(size, rng)
+            start += size
+        perm = rng.permutation(m.shape[0])
+        m, labels = m[np.ix_(perm, perm)], labels[perm]
+        dec = hermitian_eigen(m)
+        _assert_eigen_oracles(m, dec)
+        _assert_equals_per_block(m, dec)
+        # Blocks are solved apart, and the padding of a small block in the
+        # shared stack never rotates, so every eigenvector is exactly zero
+        # off its own block.
+        for column in dec.eigenvectors.T:
+            assert len(set(labels[column != 0])) == 1
+
+
+def test_schedule_is_each_blocks_tournament_side_by_side():
+    sizes = (2, 5, 4)
+    rounds = _schedule(sizes)
+    assert len(rounds) == max(len(_tournament(size)) for size in sizes) == 5
+    for r, (block, p, q, cp, cq) in enumerate(rounds):
+        for k, size in enumerate(sizes):
+            mine = block == k
+            if r < len(_tournament(size)):
+                assert np.array_equal(p[mine], _tournament(size)[r][0])
+                assert np.array_equal(q[mine], _tournament(size)[r][1])
+            else:
+                assert not mine.any()
+        assert np.array_equal(cp, block * 5 + p) and np.array_equal(cq, block * 5 + q)
+    # Both caches hand out shared arrays.
+    for arrays in (*rounds, *_tournament(5)):
+        assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_eigen_diagonal_input_returns_identity_eigenvectors():
