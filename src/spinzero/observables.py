@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -393,8 +393,46 @@ def _split_rows(stack: np.ndarray, sizes) -> list[np.ndarray]:
     return [stack[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
 
+def _on_qubits(obs: SpectralObservable, qubits) -> SpectralObservable:
+    """obs on a register of len(qubits) qubits, whose qubit j is register
+    site qubits[j - 1]; obs itself when `qubits` is its whole register."""
+    if qubits == tuple(range(1, obs.n_qubits + 1)):
+        return obs
+    local = {s: j for j, s in enumerate(qubits, start=1)}
+    return SpectralObservable(branches=obs.local_branches,
+                              sites=[local[s] for s in obs.sites],
+                              n_qubits=len(qubits), name=obs.name)
+
+
+def _reorder_qubits(rows: np.ndarray, source, target) -> np.ndarray:
+    """Rows (vectors on the qubits listed in `source`, first qubit most
+    significant) with their qubits put in `target` order."""
+    if source == target:
+        return rows
+    w = len(source)
+    axes = [0] + [source.index(t) + 1 for t in target]
+    return rows.reshape((len(rows),) + (2,) * w).transpose(axes).reshape(rows.shape)
+
+
+def _matrix_on(obs: SpectralObservable, qubits) -> np.ndarray:
+    """The matrix of obs on the register sites `qubits` (ascending, a
+    superset of obs.sites), the identity on those obs does not act on."""
+    m = _projector_sum(obs.local_branches)
+    if obs.sites == qubits:
+        return m
+    source = obs.sites + tuple(s for s in qubits if s not in obs.sites)
+    m = np.kron(m, np.eye(2 ** (len(qubits) - len(obs.sites))))
+    # P M P^T: permute the qubits of every row, then of every column
+    return _reorder_qubits(_reorder_qubits(m, source, qubits).T, source, qubits).T
+
+
 def _check_commuting(observables) -> None:
-    mats = None
+    """Raise NonCommutingError unless every pair commutes to TOL_COMMUTE.
+
+    Each pair whose sites overlap is compared on the union of its sites
+    only, since [A (x) I, B (x) I] = [A, B] (x) I; disjoint pairs commute
+    exactly."""
+    mats = {}
     for i in range(len(observables)):
         for j in range(i + 1, len(observables)):
             a, b = observables[i], observables[j]
@@ -402,33 +440,42 @@ def _check_commuting(observables) -> None:
                 raise DimensionMismatchError(
                     f"observables have dims {a.dim} and {b.dim}")
             if not set(a.sites) & set(b.sites):
-                continue  # disjoint supports commute exactly
-            if mats is None:
-                mats = {k: obs.matrix() for k, obs in enumerate(observables)}
-            dev = max_abs(commutator(mats[i], mats[j]))
+                continue
+            union = tuple(sorted(set(a.sites) | set(b.sites)))
+            for k in (i, j):
+                if (k, union) not in mats:
+                    mats[k, union] = _matrix_on(observables[k], union)
+            dev = max_abs(commutator(mats[i, union], mats[j, union]))
             if dev > TOL_COMMUTE:
                 raise NonCommutingError(
                     f"observables {a.name or i} and {b.name or j} do not commute "
                     f"(max commutator entry {dev:.3e})")
 
 
-def joint_eigenspaces(generators):
-    """Joint eigenspace decomposition of a set commuting to TOL_COMMUTE.
+def _components(generators) -> list[list[int]]:
+    """The generators' indices grouped by overlapping sites: two generators
+    share a group when their sites overlap, directly or through others."""
+    groups: list[tuple[set[int], list[int]]] = []
+    for i, gen in enumerate(generators):
+        sites, members = set(gen.sites), [i]
+        for group in [g for g in groups if g[0] & sites]:
+            groups.remove(group)
+            sites |= group[0]
+            members += group[1]
+        groups.append((sites, sorted(members)))
+    return [members for _, members in groups]
 
-    Returns a list of (outcome tuple, orthonormal basis columns) covering
-    every realizable joint outcome, refined generator by generator in branch
-    order.
-    """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    _check_commuting(generators)
+
+def _refine(generators) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Joint eigenspaces of commuting generators on their whole register,
+    refined generator by generator in branch order: (branch index per
+    generator, orthonormal rows) for every nonempty space."""
     # The joint eigenspaces of a level are consecutive runs of orthonormal
     # rows in one stack.  A generator refines all of them at once: per
     # branch, one call takes the coefficients of every space, and one lifts
     # their orthonormalized coefficients back onto the register.
     dim = generators[0].dim
-    outcomes, sizes, rows = [()], [dim], np.eye(dim, dtype=complex)
+    keys, sizes, rows = [()], [dim], np.eye(dim, dtype=complex)
     for gen in generators:
         branches = gen.local_branches
         coeffs = [block for _, branch in branches
@@ -439,13 +486,88 @@ def joint_eigenspaces(generators):
         for b, (_, branch) in enumerate(branches):
             qs = kept[b * len(sizes):(b + 1) * len(sizes)]
             lifted.append(_split_rows(gen._apply(branch, np.vstack(qs)), [len(q) for q in qs]))
-        nodes = [(outcome + (ev,), per_branch[s])
-                 for s, outcome in enumerate(outcomes)
-                 for (ev, _), per_branch in zip(branches, lifted) if len(per_branch[s])]
-        outcomes = [outcome for outcome, _ in nodes]
+        nodes = [(key + (b,), per_branch[s])
+                 for s, key in enumerate(keys)
+                 for b, per_branch in enumerate(lifted) if len(per_branch[s])]
+        keys = [key for key, _ in nodes]
         sizes = [len(q) for _, q in nodes]
         rows = np.vstack([q for _, q in nodes])
-    return [(outcome, q.T) for outcome, q in zip(outcomes, _split_rows(rows, sizes))]
+    return list(zip(keys, _split_rows(rows, sizes)))
+
+
+def _component_spaces(generators, members):
+    """(qubits, spaces) of one site-overlap component: the register sites
+    its rows act on, in the rows' qubit order, and (branch index per member,
+    orthonormal rows) of every nonempty joint eigenspace of its members."""
+    if len(members) == 1:
+        gen = generators[members[0]]
+        return gen.sites, [((b,), basis.T) for b, (_, basis) in enumerate(gen.local_branches)
+                           if basis.shape[1]]
+    qubits = tuple(sorted(set().union(*(generators[i].sites for i in members))))
+    return qubits, _refine([_on_qubits(generators[i], qubits) for i in members])
+
+
+def _joint_spaces(generators, qubits=None):
+    """Every nonempty joint eigenspace of a generator set commuting to
+    TOL_COMMUTE, as (outcome tuple, orthonormal rows) on the register sites
+    `qubits` (ascending, covering every generator; None for the whole
+    register), lexicographic by branch index in generator order.
+
+    The joint eigenspaces factor over the site-overlap components: one
+    generator alone has its branches as its spaces, several are refined on
+    their own sites, and a joint space is the Kronecker product of one
+    space per component with the identity on the qubits no generator
+    covers.  The validation is eager; each basis is built when the returned
+    iterator reaches it.
+    """
+    generators = list(generators)
+    if not generators:
+        raise ValueError("need at least one generator")
+    _check_commuting(generators)
+    if qubits is None:
+        qubits = tuple(range(1, generators[0].n_qubits + 1))
+    values = [gen.eigenvalues for gen in generators]
+
+    def outcome(key):
+        return tuple(map(tuple.__getitem__, values, key))
+
+    components = _components(generators)
+    parts = [_component_spaces(generators, members) for members in components]
+    if len(parts) == 1 and parts[0][0] == qubits:
+        # one component on all of `qubits`, in order: its rows as they are
+        return ((outcome(key), rows) for key, rows in parts[0][1])
+    covered = tuple(s for sites, _ in parts for s in sites)
+    rest = tuple(s for s in qubits if s not in covered)
+    identity = np.eye(2 ** len(rest), dtype=complex)
+
+    def joint_rows(choice):
+        rows = identity
+        for (_, spaces), c in zip(reversed(parts), reversed(choice)):
+            block = spaces[c][1]
+            rows = (block[:, None, :, None] * rows[None, :, None, :]).reshape(
+                len(block) * len(rows), -1)
+        return _reorder_qubits(rows, covered + rest, qubits)
+
+    order = []
+    for choice in product(*(range(len(spaces)) for _, spaces in parts)):
+        key = [0] * len(generators)
+        for members, (_, spaces), c in zip(components, parts, choice):
+            for g, b in zip(members, spaces[c][0]):
+                key[g] = b
+        order.append((tuple(key), choice))
+    order.sort()
+    return ((outcome(key), joint_rows(choice)) for key, choice in order)
+
+
+def joint_eigenspaces(generators):
+    """Joint eigenspace decomposition of a set commuting to TOL_COMMUTE.
+
+    Returns a list of (outcome tuple, orthonormal basis columns) covering
+    every realizable joint outcome, in branch order generator by generator
+    (lexicographic by branch index).  Each site-overlap component of the
+    generators is decomposed on its own sites; see `_joint_spaces`.
+    """
+    return [(outcome, rows.T) for outcome, rows in _joint_spaces(generators)]
 
 
 def is_function_of(f: SpectralObservable, generators) -> FunctionReport:
@@ -455,18 +577,24 @@ def is_function_of(f: SpectralObservable, generators) -> FunctionReport:
     generators lies inside a single eigenspace of f, so that the joint
     outcome determines f's value.  Decided structurally by eigenspace
     containment (projection residual at most TOL_RANK), not by polynomial
-    fitting.
+    fitting, on the sites U of f and the generators only: every observable
+    acts as X (x) I, so containment holds on the register exactly when it
+    holds on U.  The joint outcomes are visited in `joint_eigenspaces`
+    order, each basis built when visited, and the first one that fails is
+    the witness.
     """
     generators = list(generators)
     for gen in generators:
         if gen.dim != f.dim:
             raise DimensionMismatchError(
                 f"generator dim {gen.dim} does not match f dim {f.dim}")
+    qubits = tuple(sorted(set(f.sites).union(*(gen.sites for gen in generators))))
+    local_f = _on_qubits(f, qubits)
     table: dict[tuple[float, ...], float] = {}
-    for outcome, basis in joint_eigenspaces(generators):
+    for outcome, rows in _joint_spaces(generators, qubits):
         value = None
-        for ev, branch in f.local_branches:
-            residual = max_abs(f._project(branch, basis.T) - basis.T)
+        for ev, branch in local_f.local_branches:
+            residual = max_abs(local_f._project(branch, rows) - rows)
             if residual <= TOL_RANK:
                 value = ev
                 break

@@ -1,6 +1,7 @@
-"""Exact rational oracle for the paper's rotation-invariance point: F
-commutes with the total-spin generators S_a = 1/2 sum_j sigma_a^(j) and not
-with the single-site Paulis sigma_a^(j).
+"""Exact rational oracle for the paper's audit points: F commutes with the
+total-spin generators S_a = 1/2 sum_j sigma_a^(j) and not with the
+single-site Paulis sigma_a^(j); the all-up eigenvector of the lookup
+generators is not an eigenvector of F; and F's Born probabilities on it.
 
 Stdlib only (`fractions`), independent of numpy and of the package.  Every
 vector of the shipped audit is rational up to a scale factor: phi0 has
@@ -63,11 +64,24 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
+def matvec(m, v) -> list[Fraction]:
+    """m v for a real rational matrix m."""
+    return [dot(row, v) for row in m]
+
+
+def eigenvector_defect(m, v) -> tuple[Fraction, Fraction]:
+    """(<v|m|v>^2, ||m v||^2) for a real rational m and a real rational unit
+    vector v.  By Cauchy-Schwarz the first is at most the second, with
+    equality exactly when m v is a multiple of v."""
+    mv = matvec(m, v)
+    return dot(v, mv) ** 2, dot(mv, mv)
+
+
 def born_probabilities(f, state) -> dict[int, Fraction]:
     """P(F = +1), P(F = 0) and P(F = -1) on a real rational unit state, for
     a real rational F with F^3 = F (spectrum in {1, 0, -1}): the spectral
     projectors are the polynomials (F^2 + F)/2, 1 - F^2 and (F^2 - F)/2."""
-    fs = [dot(row, state) for row in f]
+    fs = matvec(f, state)
     first, second = dot(state, fs), dot(fs, fs)
     return {1: (second + first) / 2, 0: dot(state, state) - second, -1: (second - first) / 2}
 

@@ -284,3 +284,40 @@ def per_block_eigen(m, *, max_sweeps=100):
     eig = np.real(np.diag(h))
     idx = np.argsort(-eig, kind="stable")
     return SpectralDecomposition(eigenvalues=eig[idx], eigenvectors=v[:, idx])
+
+
+def register_is_function_of(f, generators):
+    """`is_function_of` decided on the whole register: the dense commuting
+    check on every pair, joint eigenspaces refined register-wide one node at
+    a time, and containment tested against f's branches lifted onto the
+    register; the form the site-local check replaces."""
+    from spinzero.observables import FunctionReport, NonCommutingError, _format_outcome
+    from spinzero.qcore import TOL_COMMUTE, TOL_RANK, DimensionMismatchError, commutator, max_abs
+
+    generators = list(generators)
+    for gen in generators:
+        if gen.dim != f.dim:
+            raise DimensionMismatchError(f"generator dim {gen.dim} does not match f dim {f.dim}")
+    if not generators:
+        raise ValueError("need at least one generator")
+    mats = [gen.matrix() for gen in generators]
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if max_abs(commutator(mats[i], mats[j])) > TOL_COMMUTE:
+                raise NonCommutingError(f"generators {i} and {j} do not commute")
+    table = {}
+    for outcome, basis in per_node_eigenspaces(generators):
+        value = None
+        for ev, branch in f.local_branches:
+            residual = max_abs(f._project(branch, basis.T) - basis.T)
+            if residual <= TOL_RANK:
+                value = ev
+                break
+        if value is None:
+            return FunctionReport(
+                is_function=False,
+                witness=(f"joint outcome {_format_outcome(outcome)}: its eigenspace is not "
+                         f"contained in a single eigenspace of {f.name or 'the observable'}"),
+                witness_outcome=outcome)
+        table[outcome] = value
+    return FunctionReport(is_function=True, value_table=table)

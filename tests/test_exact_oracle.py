@@ -1,5 +1,6 @@
-"""The engine's rotation-invariance residuals and point-1 probabilities
-against exact rational arithmetic (tests/exact_oracle.py)."""
+"""The engine's rotation-invariance residuals, function-audit witness and
+point-1 probabilities against exact rational arithmetic
+(tests/exact_oracle.py)."""
 
 import json
 import math
@@ -7,7 +8,13 @@ from fractions import Fraction
 
 import exact_oracle
 from spinzero.cli import main
-from spinzero.observables import invariance_residual, observable_f, observable_g
+from spinzero.observables import (
+    invariance_residual,
+    is_function_of,
+    observable_f,
+    observable_g,
+    pauli,
+)
 
 
 def test_spin_zero_pair_is_rational_and_orthonormal():
@@ -71,3 +78,25 @@ def test_point_1_probabilities_on_the_collapsed_state(capsys):
     for value, exact in probabilities.items():
         ulps = abs(Fraction(engine[value]) - exact) / Fraction(math.ulp(float(exact)))
         assert ulps <= 4
+
+
+def test_point_2_the_all_up_eigenvector_is_not_an_eigenvector_of_f(capsys):
+    f = exact_oracle.observable_f()
+    v = exact_oracle.collapsed_state()  # |00++>
+    assert set(v) == {0, Fraction(1, 2)} and exact_oracle.dot(v, v) == 1
+    # v spans the all-up joint eigenspace: each lookup generator fixes it,
+    # and four commuting single-site Paulis have one-dimensional joint spaces
+    lookup = (("z", 1), ("z", 2), ("x", 3), ("x", 4))
+    for axis, site in lookup:
+        real, imag = exact_oracle.pauli_on_site(axis, site)
+        assert exact_oracle.matvec(real, v) == v and not any(map(any, imag))
+    # so F is a function of the generators only if Fv is a multiple of v
+    mean_squared, norm_squared = exact_oracle.eigenvector_defect(f, v)
+    assert mean_squared == Fraction(1, 144) and norm_squared == Fraction(1, 12)
+    assert mean_squared < norm_squared
+    # the engine names this outcome, the first in branch order, as its witness
+    report = is_function_of(observable_f(), [pauli(axis, site, 4) for axis, site in lookup])
+    assert not report.is_function and report.witness_outcome == (1.0, 1.0, 1.0, 1.0)
+    assert main(["audit-function", "--format", "json"]) == 0
+    audit = json.loads(capsys.readouterr().out)
+    assert audit["is_function"] is False and audit["witness"].startswith("joint outcome (+,+,+,+):")

@@ -10,13 +10,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinzero import observables
 from spinzero.measurement import (
     ZeroProbabilityError,
     born_distribution,
     collapse,
+    joint_distribution,
     sequence_distribution,
 )
-from spinzero.observables import embed, from_matrix, joint_eigenspaces, observable_f, pauli
+from spinzero.observables import (
+    NonCommutingError,
+    SpectralObservable,
+    embed,
+    from_matrix,
+    is_function_of,
+    joint_eigenspaces,
+    observable_f,
+    pauli,
+)
 from spinzero.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, normalize, random_state
 from spinzero.scenario import parse_scenario_file
 from spinzero.states import basis_ket, total_spin_squared
@@ -27,6 +38,7 @@ from helpers import (
     kron_chain,
     per_node_eigenspaces,
     per_node_paths,
+    register_is_function_of,
 )
 
 REFUTATION_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "refutation.qsc"
@@ -257,3 +269,134 @@ def test_refinement_drops_empty_spaces_in_branch_order():
     outcomes = [outcome for outcome, _ in joint_eigenspaces(spin_generators(3))]
     assert outcomes == [(3.75, 1.5), (3.75, 0.5), (3.75, -0.5), (3.75, -1.5),
                         (0.75, 0.5), (0.75, -0.5)]
+
+
+# ---------------------------------------------------------------------------
+# the site-local function audit against the register-wide one
+
+
+def lookup_on(sites, n):
+    """sigma_z, sigma_z, sigma_x, sigma_x on the four given sites."""
+    return [pauli(axis, s, n) for axis, s in zip("zzxx", sites)]
+
+
+def product_on(factors, sites, n):
+    """The product of single-qubit matrices on `sites`, built by from_matrix."""
+    return embed(from_matrix(kron_chain(*factors), name="prod"), sites, n)
+
+
+EYE = np.eye(2)
+# (|0-+> + |1+->)/sqrt(2): a reflection through it straddles exactly the
+# joint outcomes (+,-,+) and (-,+,+) of z1, x2, z1 x3; the first comes first
+# in generator order, the second in the order of the components {2}, {1, 3}
+MIXED = (basis_ket("0-+") + basis_ket("1+-")).real / np.sqrt(2)
+
+FUNCTION_AUDITS = {
+    # F on sites 1-4 and on scrambled sites, with the lookup generators on
+    # F's own sites or on sites 1-4 (then F's sites 5 and 6 are covered by
+    # no generator)
+    "F, 4 qubits": lambda: (observable_f(), lookup_generators(4)),
+    "F scrambled, 4 qubits": lambda: (embed(observable_f(), [3, 1, 4, 2], 4),
+                                      lookup_on([3, 1, 4, 2], 4)),
+    "F, 8 qubits": lambda: (embed(observable_f(), [1, 2, 3, 4], 8), lookup_generators(8)),
+    "F scrambled, 8 qubits": lambda: (embed(observable_f(), [7, 4, 8, 2], 8),
+                                      lookup_on([7, 4, 8, 2], 8)),
+    "F of itself, scrambled": lambda: (embed(observable_f(), [3, 1, 4, 2], 4),
+                                       [embed(observable_f(), [3, 1, 4, 2], 4)]),
+    "F on 5,2,6,3 vs sites 1-4, 8 qubits": lambda: (embed(observable_f(), [5, 2, 6, 3], 8),
+                                                    lookup_generators(8)),
+    # products of the generators' own Paulis: the positive case
+    "zz of z1, z2": lambda: (from_matrix(np.kron(SIGMA_Z, SIGMA_Z), name="zz"),
+                             [pauli("z", 1, 2), pauli("z", 2, 2)]),
+    "z5 x2 of scrambled generators": lambda: (product_on([SIGMA_Z, SIGMA_X], [5, 2], 6),
+                                              [pauli("y", 3, 6), pauli("x", 2, 6),
+                                               pauli("z", 5, 6)]),
+    # components {1, 3} and {2}, interleaved in generator order
+    "x2 x3 of z1, x2, z1 x3": lambda: (product_on([SIGMA_X, SIGMA_X], [2, 3], 4),
+                                       [pauli("z", 1, 4), pauli("x", 2, 4),
+                                        product_on([SIGMA_Z, SIGMA_X], [1, 3], 4)]),
+    "y3 of z1, x2, z1 x3": lambda: (pauli("y", 3, 4),
+                                    [pauli("z", 1, 4), pauli("x", 2, 4),
+                                     product_on([SIGMA_Z, SIGMA_X], [1, 3], 4)]),
+    "reflection mixing (+,-,+) and (-,+,+) of z1, x2, z1 x3": lambda: (
+        from_matrix(np.eye(8) - 2 * np.outer(MIXED, MIXED), name="reflection"),
+        [pauli("z", 1, 3), pauli("x", 2, 3), product_on([SIGMA_Z, SIGMA_X], [1, 3], 3)]),
+    "z1 x3 x4 of x3, z1, x4 x3, x2": lambda: (
+        product_on([SIGMA_Z, SIGMA_X, SIGMA_X], [1, 3, 4], 5),
+        [pauli("x", 3, 5), pauli("z", 1, 5), product_on([SIGMA_X, SIGMA_X], [4, 3], 5),
+         pauli("x", 2, 5)]),
+    # S^2 and S_z, whose refinement drops empty spaces
+    "S^2 of S^2, S_z": lambda: (from_matrix(total_spin_squared(3), name="S2"),
+                                spin_generators(3)),
+    "z1 of S^2, S_z": lambda: (pauli("z", 1, 3), spin_generators(3)),
+    # f on a qubit no generator covers: identity there, or not
+    "z1 (x) I5 of z1, x2": lambda: (product_on([SIGMA_Z, EYE], [1, 5], 5),
+                                    [pauli("z", 1, 5), pauli("x", 2, 5)]),
+    "z1 z5 of z1, x2": lambda: (product_on([SIGMA_Z, SIGMA_Z], [1, 5], 5),
+                                [pauli("z", 1, 5), pauli("x", 2, 5)]),
+    # whole-register from_matrix generators: one component
+    "S^2 of z generators, 4 qubits": lambda: (from_matrix(total_spin_squared(4), name="S2"),
+                                              z_generators(4)),
+    "z1 z3 of z generators, 4 qubits": lambda: (
+        from_matrix(kron_chain(SIGMA_Z, EYE, SIGMA_Z, EYE), name="z1z3"), z_generators(4)),
+}
+
+
+@pytest.mark.parametrize("name", FUNCTION_AUDITS)
+def test_is_function_of_matches_the_register_wide_check(name):
+    f, generators = FUNCTION_AUDITS[name]()
+    got, want = is_function_of(f, generators), register_is_function_of(f, generators)
+    assert (got.is_function, got.witness, got.witness_outcome, got.value_table) == \
+        (want.is_function, want.witness, want.witness_outcome, want.value_table)
+
+
+def test_function_audit_cases_cover_both_verdicts():
+    verdicts = {name: is_function_of(*make()).is_function for name, make in FUNCTION_AUDITS.items()}
+    assert sum(verdicts.values()) == 8 and len(verdicts) - sum(verdicts.values()) == 10
+    assert is_function_of(*FUNCTION_AUDITS["F on 5,2,6,3 vs sites 1-4, 8 qubits"]()
+                          ).witness_outcome == (1.0, 1.0, 1.0, 1.0)
+    reflection = FUNCTION_AUDITS["reflection mixing (+,-,+) and (-,+,+) of z1, x2, z1 x3"]
+    assert is_function_of(*reflection()).witness_outcome == (1.0, -1.0, 1.0)
+
+
+def test_interleaved_components_keep_the_generator_order():
+    generators = [pauli("z", 1, 4), pauli("x", 2, 4), product_on([SIGMA_Z, SIGMA_X], [1, 3], 4)]
+    spaces = joint_eigenspaces(generators)
+    reference = per_node_eigenspaces(generators)
+    assert [outcome for outcome, _ in spaces] == [outcome for outcome, _ in reference]
+    for (_, basis), (_, ref) in zip(spaces, reference):
+        assert basis.shape == ref.shape
+        assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-10)
+        assert np.allclose(basis @ basis.conj().T, ref @ ref.conj().T, atol=1e-10)
+
+
+@pytest.fixture
+def no_register_views(monkeypatch):
+    """Make every register-wide dense view of an observable raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a register-wide dense view was built")
+    monkeypatch.setattr(SpectralObservable, "matrix", refuse)
+    monkeypatch.setattr(observables, "_lift_columns", refuse)
+
+
+def test_ten_qubit_function_audit_stays_on_the_observables_sites(no_register_views):
+    report = is_function_of(embed(observable_f(), [1, 2, 3, 4], 10), lookup_generators(10))
+    assert not report.is_function
+    assert report.witness_outcome == (1.0, 1.0, 1.0, 1.0)
+
+
+def test_ten_qubit_commuting_check_stays_on_the_pairs_sites(no_register_views):
+    f = embed(observable_f(), [1, 2, 3, 4], 10)
+    clash = [pauli("z", 1, 10), pauli("x", 1, 10)]
+    with pytest.raises(NonCommutingError):
+        is_function_of(f, clash)
+    with pytest.raises(NonCommutingError):
+        joint_eigenspaces(clash)
+    with pytest.raises(NonCommutingError):
+        joint_distribution(random_state(10, np.random.default_rng(3)), clash)
+    # z1 z2 and x2 overlap on site 2 only
+    with pytest.raises(NonCommutingError):
+        joint_eigenspaces([product_on([SIGMA_Z, SIGMA_Z], [1, 2], 10), pauli("x", 2, 10)])
+    # x1 x2 and z1 z2 overlap on two sites and commute
+    pair = [product_on([SIGMA_X, SIGMA_X], [1, 2], 10), product_on([SIGMA_Z, SIGMA_Z], [2, 1], 10)]
+    assert len(joint_eigenspaces(pair)) == 4
