@@ -6,7 +6,6 @@ from .qcore import (
     DEFAULT_TOLERANCES,
     MAX_QUBITS,
     CapacityError,
-    ConvergenceError,
     DimensionMismatchError,
     NonHermitianError,
     NonUnitaryError,

@@ -20,7 +20,6 @@ from itertools import product
 from .qcore import (
     DEFAULT_TOLERANCES,
     CapacityError,
-    ConvergenceError,
     DimensionMismatchError,
     NonHermitianError,
     NonUnitaryError,
@@ -58,7 +57,7 @@ _RUNTIME_ERRORS = (
     ScenarioRuntimeError, ZeroProbabilityError, OutcomeNotInSpectrumError,
     UnnormalizedStateError, OverlappingSupportError, NonCommutingError,
     DimensionMismatchError, CapacityError, NonHermitianError,
-    NonUnitaryError, ConvergenceError, OSError,
+    NonUnitaryError, OSError,
 )
 
 RECONSTRUCTION_NOTE = (

@@ -4,9 +4,10 @@ decisions and audits.
 
 An observable is specified by its spectral data (eigenvalue -> orthonormal
 eigenbasis), never reconstructed from a matrix on the main path; collapse
-semantics depend on eigenspaces, and the eigensolver stays a cross-check
-oracle.  Eigenbases are stored on the qubits the observable acts on and
-applied to a register state by contracting only those qubits.
+semantics depend on eigenspaces.  The eigensolver is reached only through
+`from_matrix`, which turns a user's Hermitian matrix into that data.
+Eigenbases are stored on the qubits the observable acts on and applied to a
+register state by contracting only those qubits.
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def embed(obs: SpectralObservable, sites, n: int) -> SpectralObservable:
 def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> SpectralObservable:
     """Spectral observable from a Hermitian matrix.
 
-    Runs the Jacobi eigensolver and starts a new eigenspace wherever two
+    Runs the eigensolver and starts a new eigenspace wherever two
     consecutive sorted eigenvalues lie more than cluster_tol apart.  Each
     branch eigenvalue is its cluster's mean, which lies inside the cluster,
     so adjacent branches pass the constructor's check at the same cluster_tol.
@@ -718,7 +719,7 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
 # Trials per batch in check_invariance: as many as fill this many bytes with
 # one 2**n x 2**n complex matrix each (at least one).  This budget keeps peak
 # memory at that of the one-trial loop; 2**18 cut 4-5 qubit audits by a
-# further ~30% but raised the peak of the five CLI commands by 0.4 MB.
+# further ~30% but raised their peak by 0.4 MB.
 _INVARIANCE_BATCH_BYTES = 2 ** 16
 
 

@@ -8,9 +8,7 @@ the right.  All operations are pure; no global mutable state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -21,7 +19,6 @@ MAX_QUBITS = 10
 TOL_NORM = 1e-10       # state normalization
 TOL_ORTH = 1e-10       # orthonormality of eigenbases
 TOL_HERM = 1e-10       # hermiticity / unitarity deviation
-TOL_EIG = 1e-12        # eigensolver off-diagonal residual (relative)
 TOL_CLUSTER = 1e-8     # eigenvalue clustering width
 TOL_COMMUTE = 1e-10    # largest commutator entry of observables that commute
 TOL_RANK = 1e-9        # rank of a projected eigenspace; containment in a branch
@@ -62,14 +59,6 @@ class NonHermitianError(ValueError):
 
 class NonUnitaryError(ValueError):
     """A matrix required to be unitary is not, beyond tolerance."""
-
-
-class ConvergenceError(RuntimeError):
-    """The eigensolver did not reach its residual target."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def as_state(amplitudes, *, require_unit: bool = False) -> np.ndarray:
@@ -231,34 +220,10 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _offdiag_norm(h: np.ndarray) -> float:
-    off = h - np.diag(np.diag(h))
-    return float(np.linalg.norm(off))
-
-
-@cache
-def _tournament(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The rounds of a round-robin tournament on 0..n-1 (n >= 2), as (P, Q)
-    index arrays of disjoint pairs; every pair meets in exactly one round.
-    For odd n, whoever meets player n sits the round out.  The arrays are
-    shared, so read-only."""
-    players = list(range(n + n % 2))
-    half = len(players) // 2
-    rounds = []
-    for _ in range(len(players) - 1):
-        pairs = [(a, b) for a, b in zip(players[:half], reversed(players[half:]))
-                 if max(a, b) < n]
-        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
-        p.flags.writeable = q.flags.writeable = False
-        rounds.append((p, q))
-        players = [players[0], players[-1], *players[1:-1]]
-    return tuple(rounds)
-
-
 def _exact_blocks(h: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of the exact nonzero pattern
-    of h.  A rotation inside one component never touches another, so each
-    can be diagonalized on its own."""
+    of h.  h is block diagonal up to a permutation of these index sets, so
+    each can be diagonalized on its own."""
     reach = (h != 0) | np.eye(h.shape[0], dtype=bool)
     while True:
         paths = reach.astype(float)
@@ -276,125 +241,27 @@ def _exact_blocks(h: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-@cache
-def _schedule(sizes: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The rounds of one sweep over blocks of the given sizes (each >= 2)
-    laid side by side, block k in columns k*m ... k*m + sizes[k] - 1 with
-    m = max(sizes).  Round r holds round r of every block's own
-    `_tournament`, block after block, as (block, P, Q, column of P, column
-    of Q) index arrays; a block whose tournament is over sits the round out.
-    The arrays are shared, so read-only."""
-    width = max(sizes)
-    tournaments = [_tournament(size) for size in sizes]
-    rounds = []
-    for r in range(max(len(t) for t in tournaments)):
-        parts = [(np.full(len(t[r][0]), k, dtype=np.intp), *t[r])
-                 for k, t in enumerate(tournaments) if r < len(t)]
-        block, p, q = (np.concatenate(side) for side in zip(*parts))
-        arrays = (block, p, q, block * width + p, block * width + q)
-        for arr in arrays:
-            arr.flags.writeable = False
-        rounds.append(arrays)
-    return tuple(rounds)
-
-
-def _jacobi_sweep(hv: np.ndarray, sizes: tuple[int, ...], skip: float) -> None:
-    """One sweep, in place, over the blocks of the given sizes in the
-    zero-padded stack hv of shape (2m, m * len(sizes)), m = max(sizes).
-    Block k sits in columns k*m ... k*m + sizes[k] - 1, its h in the top m
-    rows and its eigenvector rows v underneath.  Every index pair of every
-    block meets once: round r rotates the disjoint pairs of round r of each
-    block's own tournament at once (`_schedule`), and each pair above `skip`
-    is rotated to zero.  A rotation acts on the columns of h and v and on
-    the rows of h; padding entries enter it only as zeros, so they stay
-    zero."""
-    m = hv.shape[0] // 2
-    h = hv[:m]
-    rows = h.reshape(m, len(sizes), m)
-    for block, p, q, cp, cq in _schedule(sizes):
-        hpq = h[p, cq]
-        active = np.abs(hpq) > skip
-        if not active.any():
-            continue
-        if not active.all():
-            block, p, q, cp, cq, hpq = (a[active] for a in (block, p, q, cp, cq, hpq))
-        # Per pair, J = diag(phase, 1) @ [[c, s], [-s, c]] with the inner
-        # angle |theta| <= pi/4 and t = tan(theta): the symmetric 2x2 Schur
-        # step.  The outer angle can stall the iteration.
-        r = np.abs(hpq)
-        app, aqq = h[p, cp].real, h[q, cq].real
-        tau = (aqq - app) / (2.0 * r)
-        t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        phase = hpq / r
-        jpp, jpq = c * phase, s * phase
-        # Columns, then rows: h <- J^H h J and v <- v J, from copies of the
-        # old columns and rows.
-        colp, colq = hv[:, cp], hv[:, cq]
-        hv[:, cp] = colp * jpp - colq * s
-        hv[:, cq] = colp * jpq + colq * c
-        rowp, rowq = rows[p, block], rows[q, block]
-        rows[p, block] = jpp.conj()[:, None] * rowp - s[:, None] * rowq
-        rows[q, block] = jpq.conj()[:, None] * rowp + c[:, None] * rowq
-        h[p, cq] = 0.0
-        h[q, cp] = 0.0
-        h[p, cp] = app - t * r
-        h[q, cq] = aqq + t * r
-
-
-def hermitian_eigen(m: np.ndarray, *, max_sweeps: int = 100) -> SpectralDecomposition:
-    """Jacobi eigensolver for complex Hermitian matrices.
+def hermitian_eigen(m: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a complex Hermitian matrix.
 
     Splits the matrix into the connected blocks of its exact nonzero
-    pattern and lays the blocks of two or more indices side by side in one
-    zero-padded stack.  Each sweep applies 2x2 unitary sub-rotations in
-    round-robin order: round r rotates the disjoint pairs of round r of
-    every block's own tournament at once, and a sweep meets every pair of
-    every block once.  Stops when the off-diagonal Frobenius norm drops
-    below TOL_EIG relative to the matrix scale.  Raises
-    DimensionMismatchError or ValueError for input that is not a square
-    finite matrix, NonHermitianError for input more than TOL_HERM from
-    Hermitian and ConvergenceError (with the final residual) if max_sweeps
-    sweeps are not enough.
+    pattern and diagonalizes each block of two or more indices with LAPACK
+    (`np.linalg.eigh`); a 1-index block keeps its diagonal entry and its
+    identity column.  Every eigenvector is exactly zero outside its own
+    block.  Raises DimensionMismatchError or ValueError for input that is
+    not a square finite matrix and NonHermitianError for input more than
+    TOL_HERM from Hermitian.
     """
     a = as_operator(m)
     herm_dev = max_abs(a - a.conj().T)
     if herm_dev > TOL_HERM:
         raise NonHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {herm_dev:.3e}")
     h = (a + a.conj().T) / 2.0
-    dim = h.shape[0]
-    v = np.eye(dim, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(h)))
-    target = TOL_EIG * scale
-    skip = target / max(dim * dim, 1)
-    residual = _offdiag_norm(h)
-    if residual > target:
-        blocks = [np.ix_(idx, idx) for idx in _exact_blocks(h) if len(idx) > 1]
-        sizes = tuple(len(ix[0]) for ix in blocks)
-        width = max(sizes)
-        hv = np.zeros((2 * width, width * len(sizes)), dtype=complex)
-        # (row, block, column) views of the h and v halves of the stack
-        hs = hv[:width].reshape(width, len(sizes), width)
-        vs = hv[width:].reshape(width, len(sizes), width)
-        for k, (ix, size) in enumerate(zip(blocks, sizes)):
-            hs[:size, k, :size] = h[ix]
-            vs[:size, k, :size] = v[ix]
-        for _ in range(max_sweeps):
-            _jacobi_sweep(hv, sizes, skip)
-            # Entries outside the blocks are exact zeros.
-            residual = math.hypot(*(_offdiag_norm(hs[:size, k, :size])
-                                    for k, size in enumerate(sizes)))
-            if residual <= target:
-                break
-        for k, (ix, size) in enumerate(zip(blocks, sizes)):
-            h[ix] = hs[:size, k, :size]
-            v[ix] = vs[:size, k, :size]
-    if residual > target:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge after {max_sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e}, target {target:.3e})",
-            residual=residual)
-    eig = np.real(np.diag(h))
+    eig = np.real(np.diag(h)).copy()
+    v = np.eye(h.shape[0], dtype=complex)
+    for block in _exact_blocks(h):
+        if len(block) > 1:
+            ix = np.ix_(block, block)
+            eig[block], v[ix] = np.linalg.eigh(h[ix])
     idx = np.argsort(-eig, kind="stable")
     return SpectralDecomposition(eigenvalues=eig[idx], eigenvectors=v[:, idx])

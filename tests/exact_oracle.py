@@ -126,3 +126,16 @@ def commutator_max_entry(f, generator) -> Fraction:
     if root * root != square:
         raise ValueError(f"largest entry sqrt({square}) is not rational")
     return root
+
+
+def total_spin_squared_spectrum(n: int) -> list[tuple[Fraction, int]]:
+    """(eigenvalue, multiplicity) of S^2 on n spin-1/2 sites, largest first:
+    s(s+1) for s = n/2, n/2 - 1, ... down to 0 or 1/2, each (2s+1) times
+    the number of spin-s multiplets, C(n, n/2 - s) - C(n, n/2 - s - 1)
+    (the Clebsch-Gordan series of n spin-1/2 factors)."""
+    out = []
+    for k in range(n // 2 + 1):
+        s = Fraction(n, 2) - k
+        multiplets = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        out.append((s * (s + 1), (n - 2 * k + 1) * multiplets))
+    return out

@@ -215,77 +215,6 @@ def per_node_eigenspaces(generators):
     return spaces
 
 
-# ---------------------------------------------------------------------------
-# per-block reference for the Jacobi eigensolver: one stack and one round
-# loop per exact block, the loops the side-by-side stack in spinzero replaces
-
-
-def _per_block_sweep(hv, skip):
-    """One sweep, in place, over a block h stacked on its eigenvector rows v
-    (hv = [h; v]), a tournament round of disjoint pairs at a time."""
-    from spinzero.qcore import _tournament
-
-    dim = hv.shape[1]
-    h = hv[:dim]
-    for p, q in _tournament(dim):
-        hpq = h[p, q]
-        active = np.abs(hpq) > skip
-        if not active.any():
-            continue
-        if not active.all():
-            p, q, hpq = p[active], q[active], hpq[active]
-        r = np.abs(hpq)
-        diag = h.diagonal().real
-        app, aqq = diag[p], diag[q]
-        tau = (aqq - app) / (2.0 * r)
-        t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        phase = hpq / r
-        jpp, jpq = c * phase, s * phase
-        colp, colq = hv[:, p], hv[:, q]
-        hv[:, p] = colp * jpp - colq * s
-        hv[:, q] = colp * jpq + colq * c
-        rowp, rowq = h[p], h[q]
-        h[p] = jpp.conj()[:, None] * rowp - s[:, None] * rowq
-        h[q] = jpq.conj()[:, None] * rowp + c[:, None] * rowq
-        h[p, q] = 0.0
-        h[q, p] = 0.0
-        h[p, p] = app - t * r
-        h[q, q] = aqq + t * r
-
-
-def per_block_eigen(m, *, max_sweeps=100):
-    """`qcore.hermitian_eigen` with each exact block swept in its own stack."""
-    from spinzero.qcore import (TOL_EIG, ConvergenceError, SpectralDecomposition,
-                                _exact_blocks, _offdiag_norm)
-
-    h = np.array(m, dtype=complex)
-    h = (h + h.conj().T) / 2.0
-    dim = h.shape[0]
-    v = np.eye(dim, dtype=complex)
-    target = TOL_EIG * max(1.0, float(np.linalg.norm(h)))
-    skip = target / max(dim * dim, 1)
-    residual = _offdiag_norm(h)
-    if residual > target:
-        blocks = [np.ix_(idx, idx) for idx in _exact_blocks(h) if len(idx) > 1]
-        stacks = [np.vstack([h[ix], v[ix]]) for ix in blocks]
-        for _ in range(max_sweeps):
-            for hv in stacks:
-                _per_block_sweep(hv, skip)
-            residual = math.hypot(*(_offdiag_norm(hv[:hv.shape[1]]) for hv in stacks))
-            if residual <= target:
-                break
-        for ix, hv in zip(blocks, stacks):
-            h[ix] = hv[:hv.shape[1]]
-            v[ix] = hv[hv.shape[1]:]
-    if residual > target:
-        raise ConvergenceError("per-block reference did not converge", residual=residual)
-    eig = np.real(np.diag(h))
-    idx = np.argsort(-eig, kind="stable")
-    return SpectralDecomposition(eigenvalues=eig[idx], eigenvectors=v[:, idx])
-
-
 def register_is_function_of(f, generators):
     """`is_function_of` decided on the whole register: the dense commuting
     check on every pair, joint eigenspaces refined register-wide one node at

@@ -26,6 +26,17 @@ def test_spin_zero_pair_is_rational_and_orthonormal():
     assert exact_oracle.dot(phi0, root3_phi1) == 0
 
 
+def test_total_spin_squared_spectrum_counts_every_state():
+    for n in range(1, 11):
+        spectrum = exact_oracle.total_spin_squared_spectrum(n)
+        assert sum(count for _, count in spectrum) == 2 ** n
+        # tr S^2 = 3 tr S_z^2 = 3 n 2^n / 4: the cross terms of
+        # S_z^2 = 1/4 sum_jk sigma_z^(j) sigma_z^(k) are traceless
+        assert sum(value * count for value, count in spectrum) == Fraction(3 * n * 2 ** n, 4)
+    assert exact_oracle.total_spin_squared_spectrum(4) == [(6, 5), (2, 9), (0, 2)]
+    assert exact_oracle.total_spin_squared_spectrum(3) == [(Fraction(15, 4), 4), (Fraction(3, 4), 4)]
+
+
 def test_engine_f_is_the_rational_f():
     f = exact_oracle.observable_f()
     m = observable_f().matrix()

@@ -9,9 +9,7 @@ from spinzero.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    TOL_EIG,
     CapacityError,
-    ConvergenceError,
     DimensionMismatchError,
     NonHermitianError,
     apply,
@@ -25,8 +23,6 @@ from spinzero.qcore import (
     random_hermitian,
     random_state,
     _kron_all,
-    _schedule,
-    _tournament,
     tensor,
 )
 from spinzero.states import (
@@ -39,9 +35,10 @@ from spinzero.states import (
     total_spin_squared,
 )
 from spinzero.scenario import parse_scenario
-from spinzero.observables import observable_f, pauli
+from spinzero.observables import from_matrix, observable_f, pauli
 
-from helpers import PHI1_EXPECTED, per_block_eigen, product_ket
+import exact_oracle
+from helpers import PHI1_EXPECTED, product_ket
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -232,14 +229,28 @@ def _assert_eigen_oracles(m, dec):
     assert max_abs(v.conj().T @ v - np.eye(dim)) < 1e-10
     # reconstruction residual
     assert max_abs(dec.reconstruct() - m) < 1e-9
-    # numpy as an independent oracle for the spectrum
+    # the spectrum of the whole matrix, with no block split
     assert np.allclose(np.sort(dec.eigenvalues), np.linalg.eigvalsh(m), atol=1e-9)
 
 
-def _assert_equals_per_block(m, dec):
-    ref = per_block_eigen(m)
-    assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(dec.eigenvectors, ref.eigenvectors)
+def _assert_exact_spin_squared(m, eigenvalues, n):
+    """The sorted eigenvalues of S^2 on n qubits equal the exact spectrum,
+    expanded by multiplicity, within 1e-12 of the matrix scale."""
+    exact = [float(value) for value, count in exact_oracle.total_spin_squared_spectrum(n)
+             for _ in range(count)]
+    assert len(eigenvalues) == len(exact) == 2 ** n
+    assert max_abs(np.asarray(eigenvalues) - exact) <= 1e-12 * np.linalg.norm(m)
+
+
+def _assert_one_sector_each(columns, labels):
+    """Every column is exactly zero outside the indices of one label."""
+    for column in columns.T:
+        assert len(set(labels[column != 0])) == 1
+
+
+def _sz_sectors(n):
+    """The number of 1 bits of each basis index: one label per S_z sector."""
+    return np.array([bin(i).count("1") for i in range(2 ** n)])
 
 
 def test_eigen_random_hermitian_properties():
@@ -258,26 +269,33 @@ def test_eigen_converges_on_random_matrices(dim):
         _assert_eigen_oracles(m, hermitian_eigen(m))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_eigen_total_spin_squared(n):
     # S^2 splits into one exact block per total S_z.
     m = total_spin_squared(n)
     dec = hermitian_eigen(m)
     _assert_eigen_oracles(m, dec)
-    _assert_equals_per_block(m, dec)
+    _assert_exact_spin_squared(m, dec.eigenvalues, n)
+    _assert_one_sector_each(dec.eigenvectors, _sz_sectors(n))
+
+
+def test_from_matrix_total_spin_squared_at_eight_qubits():
+    # The wall of the Python Jacobi at a size the suite can afford: one
+    # LAPACK solve per S_z sector.
+    n = 8
+    m = total_spin_squared(n)
+    branches = from_matrix(m, name="S2").local_branches
+    exact = exact_oracle.total_spin_squared_spectrum(n)
+    assert [basis.shape[1] for _, basis in branches] == [count for _, count in exact]
+    for (ev, basis), (value, _) in zip(branches, exact):
+        assert abs(ev - float(value)) <= 1e-12 * np.linalg.norm(m)
+        _assert_one_sector_each(basis, _sz_sectors(n))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5, 7])
 def test_eigen_odd_dimensions(dim):
     m = random_hermitian(dim, np.random.default_rng(100 + dim))
     _assert_eigen_oracles(m, hermitian_eigen(m))
-
-
-def test_eigen_equals_per_block_reference_on_random_matrices():
-    rng = np.random.default_rng(31)
-    for dim in [*range(2, 17), *rng.integers(17, 33, size=15)]:
-        m = random_hermitian(int(dim), rng)
-        _assert_equals_per_block(m, hermitian_eigen(m))
 
 
 def test_eigen_permuted_block_diagonal():
@@ -293,43 +311,15 @@ def test_eigen_permuted_block_diagonal():
         m, labels = m[np.ix_(perm, perm)], labels[perm]
         dec = hermitian_eigen(m)
         _assert_eigen_oracles(m, dec)
-        _assert_equals_per_block(m, dec)
-        # Blocks are solved apart, and the padding of a small block in the
-        # shared stack never rotates, so every eigenvector is exactly zero
-        # off its own block.
-        for column in dec.eigenvectors.T:
-            assert len(set(labels[column != 0])) == 1
-
-
-def test_schedule_is_each_blocks_tournament_side_by_side():
-    sizes = (2, 5, 4)
-    rounds = _schedule(sizes)
-    assert len(rounds) == max(len(_tournament(size)) for size in sizes) == 5
-    for r, (block, p, q, cp, cq) in enumerate(rounds):
-        for k, size in enumerate(sizes):
-            mine = block == k
-            if r < len(_tournament(size)):
-                assert np.array_equal(p[mine], _tournament(size)[r][0])
-                assert np.array_equal(q[mine], _tournament(size)[r][1])
-            else:
-                assert not mine.any()
-        assert np.array_equal(cp, block * 5 + p) and np.array_equal(cq, block * 5 + q)
-    # Both caches hand out shared arrays.
-    for arrays in (*rounds, *_tournament(5)):
-        assert not any(arr.flags.writeable for arr in arrays)
+        # Blocks are solved apart, so every eigenvector is exactly zero off
+        # its own block.
+        _assert_one_sector_each(dec.eigenvectors, labels)
 
 
 def test_eigen_diagonal_input_returns_identity_eigenvectors():
     dec = hermitian_eigen(np.diag([1.0, 3.0, -2.0, 3.0]))
     assert np.array_equal(dec.eigenvalues, [3.0, 3.0, 1.0, -2.0])
     assert np.array_equal(dec.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
-
-
-def test_eigen_sweep_cap_raises_with_residual():
-    m = random_hermitian(32, np.random.default_rng(32))
-    with pytest.raises(ConvergenceError) as info:
-        hermitian_eigen(m, max_sweeps=1)
-    assert info.value.residual > TOL_EIG * np.linalg.norm(m)
 
 
 def test_eigen_rejects_non_hermitian():

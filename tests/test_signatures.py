@@ -10,7 +10,6 @@ MODULES = ("qcore", "states", "observables", "measurement", "scenario", "cli")
 
 EXPECTED = {
     "qcore.as_state": ("require_unit",),
-    "qcore.hermitian_eigen": ("max_sweeps",),
     "states.singlet": ("pair_count",),
     "states.singlet_on": ("filler",),
     "observables.FunctionReport": ("value_table", "witness", "witness_outcome"),
