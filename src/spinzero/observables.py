@@ -116,7 +116,13 @@ class SpectralObservable:
             raise ValueError(f"branch bases are not orthonormal: deviation {gram_dev:.3e}")
         if sites is None:
             sites = range(1, local_dim.bit_length())
+        self._place(tuple(local), sites, n_qubits, name)
+
+    def _place(self, local_branches, sites, n_qubits, name: str) -> None:
+        """Store validated local branches on `sites` of an n_qubits
+        register (None: just the sites), after checking the sites."""
         sites = tuple(int(s) for s in sites)
+        local_dim = local_branches[0][1].shape[0]
         if 2 ** len(sites) != local_dim:
             raise DimensionMismatchError(
                 f"branch bases have {local_dim} rows, not 2**{len(sites)} for sites {sites}")
@@ -124,7 +130,7 @@ class SpectralObservable:
         if n > MAX_QUBITS:
             raise CapacityError(f"{n} qubits exceed the {MAX_QUBITS}-qubit maximum")
         _check_sites(sites, n)
-        object.__setattr__(self, "local_branches", tuple(local))
+        object.__setattr__(self, "local_branches", local_branches)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "dim", 2 ** n)
         object.__setattr__(self, "name", name)
@@ -326,20 +332,67 @@ def embed(obs: SpectralObservable, sites, n: int) -> SpectralObservable:
     if len(sites) != obs.n_qubits:
         raise ValueError(f"observable covers {obs.n_qubits} qubits, got {len(sites)} sites")
     _check_sites(sites, n)
-    return SpectralObservable(branches=obs.local_branches,
-                              sites=[sites[s - 1] for s in obs.sites],
-                              n_qubits=n, name=obs.name)
+    return _resite(obs, [sites[s - 1] for s in obs.sites], n)
+
+
+def _resite(obs: SpectralObservable, sites, n: int) -> SpectralObservable:
+    """obs on `sites` of an n-qubit register, sharing its read-only local
+    bases.  They were validated when obs was built, so only the sites and
+    the register size are checked."""
+    out = object.__new__(SpectralObservable)
+    out._place(obs.local_branches, sites, n, obs.name)
+    return out
+
+
+def _acted_qubits(a: np.ndarray, n: int) -> list[int]:
+    """The sites of the qubits on which a 2**n x 2**n matrix does not act
+    as exactly the identity.
+
+    In the matrix's 2n-axis view, qubit q is an identity factor when the
+    (0,1) and (1,0) slices on its row and column axes are exactly zero and
+    the (0,0) and (1,1) slices are equal entry by entry: the matrix is then
+    I on q tensored with either slice (the partial-trace picture of
+    Nielsen & Chuang, Quantum Computation and Quantum Information, 2.4.3).
+    No threshold, as in the block split's h != 0: rounding in an identity
+    factor keeps the qubit.  Each qubit's test stops at its first failing
+    check; a dense matrix fails the first.
+    """
+    acted = []
+    for q in range(n):
+        v = a.reshape(2 ** q, 2, 2 ** (n - 1 - q), 2 ** q, 2, 2 ** (n - 1 - q))
+        if (v[:, 0, :, :, 1].any() or v[:, 1, :, :, 0].any()
+                or not np.array_equal(v[:, 0, :, :, 0], v[:, 1, :, :, 1])):
+            acted.append(q + 1)
+    return acted
 
 
 def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> SpectralObservable:
-    """Spectral observable from a Hermitian matrix.
+    """Spectral observable from a Hermitian 2**n x 2**n matrix, on the
+    sites of the n-qubit register it acts on.
 
-    Runs the eigensolver and starts a new eigenspace wherever two
-    consecutive sorted eigenvalues lie more than cluster_tol apart.  Each
-    branch eigenvalue is its cluster's mean, which lies inside the cluster,
-    so adjacent branches pass the constructor's check at the same cluster_tol.
+    The qubits on which the matrix is exactly the identity are dropped
+    (`_acted_qubits`), so a dense sigma_z on qubit 3 of 6 comes back on
+    sites (3,) and is audited on that qubit alone; a matrix that is the
+    identity on no qubit keeps every site.  c I keeps site 1, so that every
+    observable of a register acts on a site; a 1 x 1 matrix is a 0-qubit
+    observable.  Only the slice on the kept sites goes to the eigensolver.
+    Its hermiticity residual equals the whole matrix's, since
+    M - M^dagger = (S - S^dagger) (x) I when M = S (x) I.
+
+    A new eigenspace starts wherever two consecutive sorted eigenvalues lie
+    more than cluster_tol apart.  Each branch eigenvalue is its cluster's
+    mean, which lies inside the cluster, so adjacent branches pass the
+    constructor's check at the same cluster_tol.  A row count that is not
+    a power of two raises DimensionMismatchError.
     """
-    decomp = hermitian_eigen(m)
+    a = as_operator(m)
+    n = max(len(a).bit_length() - 1, 0)
+    sites = list(range(1, n + 1))
+    if 2 ** n == len(a):
+        sites = _acted_qubits(a, n) or sites[:1]
+        index = tuple(slice(None) if q in sites else 0 for q in range(1, n + 1))
+        a = a.reshape((2,) * 2 * n)[index + index].reshape(2 ** len(sites), -1)
+    decomp = hermitian_eigen(a)
     eigenvalues = decomp.eigenvalues
     branches = []
     start = 0
@@ -348,7 +401,8 @@ def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> Spect
             cluster = eigenvalues[start:k]
             branches.append((float(np.mean(cluster)), decomp.eigenvectors[:, start:k]))
             start = k
-    return SpectralObservable(branches=tuple(branches), name=name, cluster_tol=cluster_tol)
+    return SpectralObservable(branches=tuple(branches), sites=sites, n_qubits=n, name=name,
+                              cluster_tol=cluster_tol)
 
 
 @dataclass(frozen=True)
@@ -400,9 +454,7 @@ def _on_qubits(obs: SpectralObservable, qubits) -> SpectralObservable:
     if qubits == tuple(range(1, obs.n_qubits + 1)):
         return obs
     local = {s: j for j, s in enumerate(qubits, start=1)}
-    return SpectralObservable(branches=obs.local_branches,
-                              sites=[local[s] for s in obs.sites],
-                              n_qubits=len(qubits), name=obs.name)
+    return _resite(obs, [local[s] for s in obs.sites], len(qubits))
 
 
 def _reorder_qubits(rows: np.ndarray, source, target) -> np.ndarray:

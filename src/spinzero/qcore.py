@@ -222,23 +222,26 @@ class SpectralDecomposition:
 
 def _exact_blocks(h: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of the exact nonzero pattern
-    of h.  h is block diagonal up to a permutation of these index sets, so
-    each can be diagonalized on its own."""
-    reach = (h != 0) | np.eye(h.shape[0], dtype=bool)
+    of a Hermitian h, ordered by their first index, each ascending.  h is
+    block diagonal up to a permutation of these index sets, so each can be
+    diagonalized on its own.
+
+    Label propagation over the nonzero entries, O(nnz) per round: every
+    index takes the smallest label among its own and its neighbours', then
+    the label of that label, until no label moves.  The pattern is
+    symmetric, so each index ends labelled by the smallest index of its
+    component."""
+    rows, cols = np.nonzero((h != 0) | np.eye(len(h), dtype=bool))
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # every row, in order
+    label = np.arange(len(h))
     while True:
-        paths = reach.astype(float)
-        closure = (paths @ paths) > 0
-        if np.array_equal(closure, reach):
+        new = np.minimum.reduceat(label[cols], starts)
+        new = new[new]
+        if np.array_equal(new, label):
             break
-        reach = closure
-    placed = np.zeros(h.shape[0], dtype=bool)
-    blocks = []
-    for i in range(h.shape[0]):
-        if not placed[i]:
-            block = np.flatnonzero(reach[i])
-            placed[block] = True
-            blocks.append(block)
-    return blocks
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def hermitian_eigen(m: np.ndarray) -> SpectralDecomposition:

@@ -250,3 +250,23 @@ def register_is_function_of(f, generators):
                 witness_outcome=outcome)
         table[outcome] = value
     return FunctionReport(is_function=True, value_table=table)
+
+
+def reach_closure_blocks(h):
+    """Connected blocks of the nonzero pattern of h by the dense reach
+    closure: repeated squaring of the 0/1 reachability matrix, then one
+    block per first unplaced index, ascending."""
+    reach = (h != 0) | np.eye(h.shape[0], dtype=bool)
+    while True:
+        closure = (reach.astype(float) @ reach.astype(float)) > 0
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    placed = np.zeros(h.shape[0], dtype=bool)
+    blocks = []
+    for i in range(h.shape[0]):
+        if not placed[i]:
+            block = np.flatnonzero(reach[i])
+            placed[block] = True
+            blocks.append(block)
+    return blocks

@@ -235,10 +235,33 @@ def spin_component(axis, n):
                for site in range(n)) / 2
 
 
-def z_generators(n):
+def z_matrices(n):
+    """Dense sigma_z on each site of n qubits."""
     eye = np.eye(2)
-    return [from_matrix(kron_chain(*[SIGMA_Z if j == site else eye for j in range(n)]))
-            for site in range(n)]
+    return [kron_chain(*[SIGMA_Z if j == site else eye for j in range(n)]) for site in range(n)]
+
+
+def z_generators(n):
+    """sigma_z on each site, from dense matrices: each comes back on its site."""
+    return [from_matrix(z) for z in z_matrices(n)]
+
+
+def perturbed_z_generators(n):
+    """sigma_z on each site, from dense matrices with 1e-17 added to one
+    entry that flips another qubit: no qubit is an exact identity factor, so
+    each keeps the whole register and the set is one component refined
+    there."""
+    generators = []
+    for site, z in enumerate(z_matrices(n)):
+        z[0, 1 << (n - 1 - (site + 1) % n)] += 1e-17
+        generators.append(from_matrix(z))
+    return generators
+
+
+def test_perturbed_z_generators_keep_the_whole_register():
+    for n in (2, 4, 6):
+        assert [gen.sites for gen in perturbed_z_generators(n)] == [tuple(range(1, n + 1))] * n
+        assert [gen.sites for gen in z_generators(n)] == [(s,) for s in range(1, n + 1)]
 
 
 def lookup_generators(n):
@@ -253,6 +276,7 @@ def spin_generators(n):
 
 @pytest.mark.parametrize("make,n", [(lookup_generators, 4), (lookup_generators, 8),
                                     (z_generators, 4), (z_generators, 5), (z_generators, 6),
+                                    (perturbed_z_generators, 4), (perturbed_z_generators, 5),
                                     (spin_generators, 3), (spin_generators, 4)])
 def test_joint_eigenspaces_match_per_node_refinement(make, n):
     generators = make(n)
@@ -337,11 +361,17 @@ FUNCTION_AUDITS = {
                                     [pauli("z", 1, 5), pauli("x", 2, 5)]),
     "z1 z5 of z1, x2": lambda: (product_on([SIGMA_Z, SIGMA_Z], [1, 5], 5),
                                 [pauli("z", 1, 5), pauli("x", 2, 5)]),
-    # whole-register from_matrix generators: one component
+    # generators from dense single-site matrices: one site, one component each
     "S^2 of z generators, 4 qubits": lambda: (from_matrix(total_spin_squared(4), name="S2"),
                                               z_generators(4)),
     "z1 z3 of z generators, 4 qubits": lambda: (
         from_matrix(kron_chain(SIGMA_Z, EYE, SIGMA_Z, EYE), name="z1z3"), z_generators(4)),
+    # the same with rounding in their identity factors: one whole-register component
+    "S^2 of perturbed z generators, 4 qubits": lambda: (
+        from_matrix(total_spin_squared(4), name="S2"), perturbed_z_generators(4)),
+    "z1 z3 of perturbed z generators, 4 qubits": lambda: (
+        from_matrix(kron_chain(SIGMA_Z, EYE, SIGMA_Z, EYE), name="z1z3"),
+        perturbed_z_generators(4)),
 }
 
 
@@ -355,7 +385,7 @@ def test_is_function_of_matches_the_register_wide_check(name):
 
 def test_function_audit_cases_cover_both_verdicts():
     verdicts = {name: is_function_of(*make()).is_function for name, make in FUNCTION_AUDITS.items()}
-    assert sum(verdicts.values()) == 8 and len(verdicts) - sum(verdicts.values()) == 10
+    assert sum(verdicts.values()) == 9 and len(verdicts) - sum(verdicts.values()) == 11
     assert is_function_of(*FUNCTION_AUDITS["F on 5,2,6,3 vs sites 1-4, 8 qubits"]()
                           ).witness_outcome == (1.0, 1.0, 1.0, 1.0)
     reflection = FUNCTION_AUDITS["reflection mixing (+,-,+) and (-,+,+) of z1, x2, z1 x3"]

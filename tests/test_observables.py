@@ -9,9 +9,12 @@ from spinzero.qcore import (
     SIGMA_Y,
     SIGMA_Z,
     TOL_INVARIANCE,
+    CapacityError,
     DimensionMismatchError,
+    NonHermitianError,
     NonUnitaryError,
     commutator,
+    hermitian_eigen,
     max_abs,
     random_hermitian,
 )
@@ -135,6 +138,23 @@ def test_embed_site_validation():
         embed(observable_f(), [1, 2, 3, 3], 8)
     with pytest.raises(ValueError):
         embed(observable_f(), [1, 2, 3, 9], 8)
+    with pytest.raises(CapacityError):
+        embed(observable_f(), [1, 2, 3, 4], 11)
+
+
+def test_resiting_shares_the_validated_bases(monkeypatch):
+    f = observable_f()
+    lookup = [pauli("z", 3, 10), pauli("z", 1, 10), pauli("x", 9, 10), pauli("x", 5, 10)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the validating constructor ran")
+
+    monkeypatch.setattr(SpectralObservable, "__init__", refuse)
+    moved = embed(embed(f, [2, 4, 1, 3], 6), [9, 3, 5, 1, 8, 10], 10)
+    assert moved.sites == (3, 1, 9, 5) and moved.n_qubits == 10
+    assert moved.local_branches is f.local_branches
+    assert observables._on_qubits(moved, (1, 3, 5, 9)).sites == (2, 1, 4, 3)
+    assert is_function_of(moved, lookup).witness_outcome == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_spectral_observable_validates_inputs():
@@ -432,3 +452,109 @@ def test_from_matrix_rejects_what_as_operator_rejects():
         from_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="^operator entries must be finite$"):
         from_matrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# from_matrix on the qubits a matrix acts on
+
+def site_matrix(op, site, n):
+    """Dense 2**n x 2**n matrix of a 2 x 2 op on `site`, identity elsewhere."""
+    return kron_chain(*[op if s == site else np.eye(2) for s in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("axis, sigma", [("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)])
+def test_from_matrix_sites_a_dense_pauli_on_its_qubit(axis, sigma):
+    obs = from_matrix(site_matrix(sigma, 3, 6), name=f"{axis}3")
+    assert obs.sites == (3,) and obs.n_qubits == 6
+    assert [(ev, basis.shape) for ev, basis in obs.local_branches] == [(1.0, (2, 1)),
+                                                                       (-1.0, (2, 1))]
+    for ev in (1.0, -1.0):
+        assert max_abs(obs.projector(ev) - pauli(axis, 3, 6).projector(ev)) < 1e-15
+
+
+def test_from_matrix_of_an_embedded_f_finds_its_sites():
+    f = embed(observable_f(), [2, 5, 1, 4], 6)
+    dense = from_matrix(f.matrix(), name="F")
+    assert dense.sites == (1, 2, 4, 5) and dense.n_qubits == 6
+    assert len(dense.eigenvalues) == 3
+    for ev in f.eigenvalues:
+        assert max_abs(dense.projector(ev) - f.projector(ev)) < 1e-10
+    lookup = [pauli(axis, s, 6) for axis, s in zip("zzxx", [2, 5, 1, 4])]
+    for generators in (lookup, [f], [pauli("z", 3, 6)]):
+        got, want = is_function_of(dense, generators), is_function_of(f, generators)
+        assert (got.is_function, got.witness_outcome) == (want.is_function, want.witness_outcome)
+    for pattern in ("equal", "per_site"):
+        assert (invariance_residual(dense, pattern)[0] <= TOL_INVARIANCE) is \
+            (invariance_residual(f, pattern)[0] <= TOL_INVARIANCE)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: total_spin_squared(4),
+    lambda: total_spin_squared(5),
+    lambda: total_spin_squared(6),
+    lambda: random_hermitian(16, np.random.default_rng(31)),
+    lambda: random_hermitian(32, np.random.default_rng(37)),
+], ids=["S2-4", "S2-5", "S2-6", "random-4", "random-5"])
+def test_from_matrix_keeps_every_site_of_a_matrix_without_identity_factors(build):
+    m = build()
+    n = len(m).bit_length() - 1
+    assert from_matrix(m).sites == tuple(range(1, n + 1))
+
+
+def test_rounding_in_an_identity_factor_keeps_every_site():
+    m = site_matrix(SIGMA_Z, 3, 6)
+    noisy = m.copy()
+    noisy[0, 1] += 1e-17  # off the diagonal of qubit 6, inside qubits 1-5's (0,0) slices
+    clean, kept = from_matrix(m, name="z3"), from_matrix(noisy, name="z3")
+    assert kept.sites == tuple(range(1, 7))
+    for generators in ([pauli("z", 3, 6)], [pauli("x", 3, 6)],
+                       [pauli("z", s, 6) for s in range(1, 7)]):
+        got, want = is_function_of(kept, generators), is_function_of(clean, generators)
+        assert (got.is_function, got.witness_outcome) == (want.is_function, want.witness_outcome)
+
+
+def test_from_matrix_reports_the_whole_matrix_hermiticity_residual():
+    with pytest.raises(NonHermitianError, match=r"max \|m - m\^dagger\| = 1\.000e\+00$"):
+        from_matrix(np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]]))
+    # M = I (x) S (x) I: M - M^dagger = I (x) (S - S^dagger) (x) I, so the
+    # slice S has the residual of M to the last bit
+    s = random_hermitian(4, np.random.default_rng(41))
+    s[0, 3] += 3e-7j
+    m = kron_chain(np.eye(2), s, np.eye(2))
+    assert max_abs(s - s.conj().T) == max_abs(m - m.conj().T)
+    with pytest.raises(NonHermitianError) as sliced:
+        from_matrix(m)
+    with pytest.raises(NonHermitianError) as whole:
+        hermitian_eigen(m)
+    assert str(sliced.value) == str(whole.value)
+
+
+def test_a_ten_qubit_dense_pauli_is_solved_as_two_by_two(monkeypatch):
+    shapes = []
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return hermitian_eigen(m)
+
+    monkeypatch.setattr(observables, "hermitian_eigen", spy)
+    obs = from_matrix(site_matrix(SIGMA_Z, 3, 10))
+    assert obs.sites == (3,) and obs.n_qubits == 10
+    assert shapes == [(2, 2)]
+
+
+def test_a_multiple_of_the_identity_keeps_site_one():
+    obs = from_matrix(2.5 * np.eye(8), name="c")
+    assert obs.sites == (1,) and obs.n_qubits == 3
+    assert obs.eigenvalues == (2.5,)
+    assert np.array_equal(obs.matrix(), 2.5 * np.eye(8))
+    for pattern in ("equal", "per_site"):
+        assert invariance_residual(obs, pattern)[0] == 0.0
+    report = is_function_of(obs, [pauli("z", 2, 3), pauli("x", 3, 3)])
+    assert report.is_function and set(report.value_table.values()) == {2.5}
+    assert is_function_of(pauli("z", 1, 3), [obs]).witness_outcome == (2.5,)
+
+
+def test_a_one_by_one_matrix_is_a_zero_qubit_observable():
+    obs = from_matrix([[2.0]])
+    assert obs.sites == () and obs.n_qubits == 0
+    assert obs.eigenvalues == (2.0,)

@@ -22,6 +22,7 @@ from spinzero.qcore import (
     permute_qubits,
     random_hermitian,
     random_state,
+    _exact_blocks,
     _kron_all,
     tensor,
 )
@@ -38,7 +39,7 @@ from spinzero.scenario import parse_scenario
 from spinzero.observables import from_matrix, observable_f, pauli
 
 import exact_oracle
-from helpers import PHI1_EXPECTED, product_ket
+from helpers import PHI1_EXPECTED, product_ket, reach_closure_blocks
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -314,6 +315,34 @@ def test_eigen_permuted_block_diagonal():
         # Blocks are solved apart, so every eigenvector is exactly zero off
         # its own block.
         _assert_one_sector_each(dec.eigenvectors, labels)
+
+
+def _permuted_block_diagonal(rng, sizes, density):
+    """A random Hermitian matrix, block diagonal with blocks of `sizes` up to a
+    random permutation, each block's entries kept with probability `density`."""
+    d = sum(sizes)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for size in sizes:
+        block = random_hermitian(size, rng) * (rng.random((size, size)) < density)
+        m[start:start + size, start:start + size] = block + block.conj().T
+        start += size
+    perm = rng.permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
+def test_exact_blocks_equal_the_reach_closure_blocks():
+    # Same index sets in the same order, so each block is solved on the
+    # same submatrix and every eigenpair keeps its bits.
+    rng = np.random.default_rng(29)
+    inputs = [total_spin_squared(n) for n in range(2, 9)]
+    inputs += [_permuted_block_diagonal(rng, rng.integers(1, 7, rng.integers(1, 9)), density)
+               for density in (0.2, 0.5, 1.0) for _ in range(20)]
+    inputs += [np.zeros((4, 4)), np.eye(5), np.ones((3, 3))]
+    for m in inputs:
+        got, want = _exact_blocks(m), reach_closure_blocks(m)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_eigen_diagonal_input_returns_identity_eigenvectors():
