@@ -10,7 +10,6 @@ from .qcore import (
     NonHermitianError,
     NonUnitaryError,
     SpectralDecomposition,
-    apply,
     commutator,
     fidelity,
     hermitian_eigen,

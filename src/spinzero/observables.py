@@ -68,7 +68,8 @@ class SpectralObservable:
     the local space, so the branch projectors resolve the identity, and
     branch eigenvalues lie more than `cluster_tol` (at least TOL_LABEL) apart.
     `sites` defaults to 1..k.  The bases are read-only copies, so an
-    observable can be shared: F and G are built once per process.
+    observable can be shared: F, G and the one-qubit Paulis are built once
+    per process.
 
     `branches`, `branch_basis`, `projector` and `matrix()` are register-wide
     dense views built on demand; measurement projects with `_apply`, which
@@ -237,8 +238,14 @@ def pauli(axis: str, site: int, n: int) -> SpectralObservable:
         raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
     if not 1 <= site <= n:
         raise ValueError(f"site {site} out of range 1..{n}")
-    return SpectralObservable(branches=_PAULI_EIGENBASES[key], sites=(site,),
-                              n_qubits=n, name=f"sigma_{key}{site}")
+    return _resite(_one_qubit_pauli(key), (site,), n, f"sigma_{key}{site}")
+
+
+@cache
+def _one_qubit_pauli(key: str) -> SpectralObservable:
+    """The validated one-qubit Pauli observable of an axis, built on first
+    use; every Pauli of that axis shares its read-only bases."""
+    return SpectralObservable(branches=_PAULI_EIGENBASES[key])
 
 
 def _orthonormal_completion(seed_vectors, dim: int) -> np.ndarray:
@@ -295,11 +302,13 @@ def _check_sites(sites, n: int) -> None:
             raise ValueError(f"site {s} out of range 1..{n}")
 
 
-def _einsum_subscripts(sites, n: int) -> tuple[str, str] | None:
+@cache
+def _einsum_subscripts(sites: tuple[int, ...], n: int) -> tuple[str, str] | None:
     """Einsum subscripts of the projection kernel for a local basis on
     `sites` of an n-qubit register: (B^dagger arr, B coeff).  None when the
     sites are the whole register in order, so the local bases already are
-    the register-wide ones."""
+    the register-wide ones.  Cached: every placement on the same sites of
+    the same register asks for the same strings."""
     if sites == tuple(range(1, n + 1)):
         return None
     axes = [chr(ord("a") + q) for q in range(n)]
@@ -332,15 +341,15 @@ def embed(obs: SpectralObservable, sites, n: int) -> SpectralObservable:
     if len(sites) != obs.n_qubits:
         raise ValueError(f"observable covers {obs.n_qubits} qubits, got {len(sites)} sites")
     _check_sites(sites, n)
-    return _resite(obs, [sites[s - 1] for s in obs.sites], n)
+    return _resite(obs, [sites[s - 1] for s in obs.sites], n, obs.name)
 
 
-def _resite(obs: SpectralObservable, sites, n: int) -> SpectralObservable:
-    """obs on `sites` of an n-qubit register, sharing its read-only local
-    bases.  They were validated when obs was built, so only the sites and
-    the register size are checked."""
+def _resite(obs: SpectralObservable, sites, n: int, name: str) -> SpectralObservable:
+    """obs on `sites` of an n-qubit register, named `name`, sharing its
+    read-only local bases.  They were validated when obs was built, so only
+    the sites and the register size are checked."""
     out = object.__new__(SpectralObservable)
-    out._place(obs.local_branches, sites, n, obs.name)
+    out._place(obs.local_branches, sites, n, name)
     return out
 
 
@@ -454,7 +463,7 @@ def _on_qubits(obs: SpectralObservable, qubits) -> SpectralObservable:
     if qubits == tuple(range(1, obs.n_qubits + 1)):
         return obs
     local = {s: j for j, s in enumerate(qubits, start=1)}
-    return _resite(obs, [local[s] for s in obs.sites], len(qubits))
+    return _resite(obs, [local[s] for s in obs.sites], len(qubits), obs.name)
 
 
 def _reorder_qubits(rows: np.ndarray, source, target) -> np.ndarray:

@@ -145,15 +145,6 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def apply(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ s."""
-    m = as_operator(m)
-    s = np.asarray(s, dtype=complex)
-    if m.shape[1] != s.shape[0]:
-        raise DimensionMismatchError(f"operator dim {m.shape[1]} does not match state dim {s.shape[0]}")
-    return m @ s
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab - ba."""
     a = as_operator(a)

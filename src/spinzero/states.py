@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -104,6 +105,7 @@ class SpinZeroBasis:
     phi1: np.ndarray
 
 
+@cache
 def spin_zero_basis() -> SpinZeroBasis:
     """The two-dimensional spin-zero subspace of four qubits.
 
@@ -111,10 +113,13 @@ def spin_zero_basis() -> SpinZeroBasis:
     complement inside the subspace, obtained by Gram-Schmidt from the
     crossed pairing (1,3)(2,4).  Both vectors are annihilated by the total
     spin squared and are pointwise fixed by any equal rotation U x U x U x U.
+    The pair is built once per process and its arrays are read-only.
     """
     phi0 = _kron_all((SINGLET_2, SINGLET_2))
     crossed = singlet_on(1, 3, 4, filler=SINGLET_2)
     phi1 = (2.0 * crossed - phi0) / math.sqrt(3.0)
+    phi0.setflags(write=False)
+    phi1.setflags(write=False)
     return SpinZeroBasis(phi0=phi0, phi1=phi1)
 
 

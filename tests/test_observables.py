@@ -69,10 +69,36 @@ def test_paulis_on_disjoint_sites_commute():
 
 
 def test_pauli_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^site 3 out of range 1\.\.2$"):
         pauli("z", 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^axis must be one of x, y, z; got 'w'$"):
         pauli("w", 1, 2)
+    with pytest.raises(ValueError, match=r"^site 0 out of range 1\.\.4$"):
+        pauli("x", 0, 4)
+    with pytest.raises(ValueError, match=r"^site 5 out of range 1\.\.4$"):
+        pauli("x", 5, 4)
+    with pytest.raises(CapacityError, match=r"^11 qubits exceed the 10-qubit maximum$"):
+        pauli("y", 1, 11)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_pauli_equals_a_freshly_validated_observable(axis, n):
+    for site in sorted({1, n}):
+        fresh = SpectralObservable(branches=observables._PAULI_EIGENBASES[axis], sites=(site,),
+                                   n_qubits=n, name=f"sigma_{axis}{site}")
+        placed = pauli(axis.upper(), site, n)
+        assert [(ev, b.shape, b.tobytes()) for ev, b in placed.local_branches] == [
+            (ev, b.shape, b.tobytes()) for ev, b in fresh.local_branches]
+        assert (placed.sites, placed.dim, placed.name, placed._subscripts) == (
+            fresh.sites, fresh.dim, fresh.name, fresh._subscripts)
+
+
+def test_paulis_of_one_axis_share_read_only_bases():
+    first, second = pauli("x", 1, 4), pauli("x", 3, 10)
+    assert first.local_branches is second.local_branches
+    assert not any(b.flags.writeable for _, b in first.local_branches)
+    assert pauli("z", 1, 4).local_branches is not first.local_branches
 
 
 def test_collective_observable_branch_structure():

@@ -12,7 +12,6 @@ from spinzero.qcore import (
     CapacityError,
     DimensionMismatchError,
     NonHermitianError,
-    apply,
     as_state,
     commutator,
     fidelity,
@@ -152,23 +151,6 @@ def test_inner_conjugate_symmetry():
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         inner(KET0, np.array([1, 0, 0, 0], dtype=complex))
-
-
-def test_apply_pauli_x_flips():
-    assert np.allclose(apply(SIGMA_X, KET0), KET1)
-
-
-def test_apply_identity():
-    rng = np.random.default_rng(8)
-    s = random_state(2, rng)
-    assert np.allclose(apply(np.eye(4), s), s)
-
-
-def test_apply_projector_squared_norm():
-    phi1 = spin_zero_basis().phi1
-    proj = np.outer(phi1, phi1.conj())
-    out = apply(proj, basis_ket("00++"))
-    assert abs(np.linalg.norm(out) ** 2 - 1.0 / 12.0) < 1e-12
 
 
 def test_commutator_vanishes_for_equal():

@@ -1,10 +1,14 @@
-"""The library's settable knobs: every defaulted parameter of a public
-function or class, module by module.  A new knob, or a lost one, fails here
-and so shows up in review; thresholds that are not in this table are the
-fixed constants of qcore's TOL_* block (README, Tolerances)."""
+"""The library's public surface: the names `spinzero` exports, and its
+settable knobs, every defaulted parameter of a public function or class,
+module by module.  A new name or knob, or a lost one, fails here and so
+shows up in review; thresholds that are not in this table are the fixed
+constants of qcore's TOL_* block (README, Tolerances)."""
 
 import importlib
 import inspect
+import types
+
+import spinzero
 
 MODULES = ("qcore", "states", "observables", "measurement", "scenario", "cli")
 
@@ -66,3 +70,35 @@ def test_exact_decisions_take_no_knob():
         signature = inspect.signature(fn).parameters.values()
         assert tuple(p.name for p in signature) == parameters
         assert all(p.default is p.empty for p in signature)
+
+
+# The package's exports, by the module that defines them.
+EXPORTS = {
+    # qcore
+    "DEFAULT_TOLERANCES", "MAX_QUBITS", "CapacityError", "DimensionMismatchError",
+    "NonHermitianError", "NonUnitaryError", "SpectralDecomposition", "commutator",
+    "fidelity", "hermitian_eigen", "inner", "normalize", "permute_qubits", "tensor",
+    # states
+    "SpinZeroBasis", "basis_ket", "eta_tilde", "singlet", "singlet_on",
+    "spin_zero_basis", "total_spin_squared",
+    # observables
+    "FunctionReport", "InvarianceReport", "NonCommutingError", "SpectralObservable",
+    "check_invariance", "embed", "from_matrix", "invariance_residual", "is_function_of",
+    "joint_eigenspaces", "observable_f", "observable_g", "pauli", "random_su2",
+    # measurement
+    "CorrelationReport", "Distribution", "MeasurementRecord", "OutcomeNotInSpectrumError",
+    "OverlappingSupportError", "UnnormalizedStateError", "ZeroProbabilityError",
+    "born_distribution", "collapse", "correlation_check", "joint_distribution",
+    "run_sequence", "sample", "sequence_distribution",
+    # scenario
+    "ProtocolReport", "Scenario", "ScenarioParseError", "ScenarioRuntimeError",
+    "assign_claimed_value", "check_eta_candidate", "dirac_audit", "format_scenario",
+    "parse_scenario", "parse_scenario_file", "run_claimed_protocol", "run_scenario",
+    "scenarios_equivalent",
+}
+
+
+def test_exported_names_are_the_expected_surface():
+    exported = {name for name, obj in vars(spinzero).items()
+                if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert exported == EXPORTS

@@ -115,6 +115,14 @@ def test_spin_zero_pair_is_orthonormal():
     assert abs(inner(pair.phi0, pair.phi1)) < 1e-10
 
 
+def test_spin_zero_pair_is_built_once_and_read_only():
+    pair = spin_zero_basis()
+    assert spin_zero_basis() is pair
+    for vec in (pair.phi0, pair.phi1):
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+
+
 def test_spin_zero_pair_matches_frozen_expansion():
     pair = spin_zero_basis()
     assert np.allclose(pair.phi0, PHI0_EXPECTED, atol=1e-14)
