@@ -8,7 +8,6 @@ from .qcore import (
     CapacityError,
     DimensionMismatchError,
     NonHermitianError,
-    NonUnitaryError,
     SpectralDecomposition,
     commutator,
     fidelity,
@@ -41,7 +40,6 @@ from .observables import (
     observable_f,
     observable_g,
     pauli,
-    random_su2,
 )
 from .measurement import (
     CorrelationReport,
@@ -64,7 +62,6 @@ from .scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioRuntimeError,
-    assign_claimed_value,
     check_eta_candidate,
     dirac_audit,
     format_scenario,
@@ -72,7 +69,6 @@ from .scenario import (
     parse_scenario_file,
     run_claimed_protocol,
     run_scenario,
-    scenarios_equivalent,
 )
 
 __version__ = "0.1.0"

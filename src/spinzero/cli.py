@@ -22,7 +22,6 @@ from .qcore import (
     CapacityError,
     DimensionMismatchError,
     NonHermitianError,
-    NonUnitaryError,
     inner,
 )
 from .states import basis_ket, eta_tilde, spin_zero_basis
@@ -56,8 +55,7 @@ from .scenario import (
 _RUNTIME_ERRORS = (
     ScenarioRuntimeError, ZeroProbabilityError, OutcomeNotInSpectrumError,
     UnnormalizedStateError, OverlappingSupportError, NonCommutingError,
-    DimensionMismatchError, CapacityError, NonHermitianError,
-    NonUnitaryError, OSError,
+    DimensionMismatchError, CapacityError, NonHermitianError, OSError,
 )
 
 RECONSTRUCTION_NOTE = (

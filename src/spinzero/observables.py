@@ -19,21 +19,18 @@ from itertools import accumulate, product
 import numpy as np
 
 from .qcore import (
-    IDENTITY_2,
     MAX_QUBITS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     TOL_CLUSTER,
     TOL_COMMUTE,
-    TOL_HERM,
     TOL_INVARIANCE,
     TOL_LABEL,
     TOL_ORTH,
     TOL_RANK,
     CapacityError,
     DimensionMismatchError,
-    NonUnitaryError,
     as_operator,
     commutator,
     hermitian_eigen,
@@ -66,14 +63,13 @@ class SpectralObservable:
     sites[j], 1-indexed) of an n_qubits register, with the identity
     elsewhere.  Across branches the columns form an orthonormal basis of
     the local space, so the branch projectors resolve the identity, and
-    branch eigenvalues lie more than `cluster_tol` (at least TOL_LABEL) apart.
+    branch eigenvalues lie more than TOL_CLUSTER apart.
     `sites` defaults to 1..k.  The bases are read-only copies, so an
     observable can be shared: F, G and the one-qubit Paulis are built once
     per process.
 
-    `branches`, `branch_basis`, `projector` and `matrix()` are register-wide
-    dense views built on demand; measurement projects with `_apply`, which
-    never forms them.
+    `branches` and `matrix()` are register-wide dense views built on demand;
+    measurement projects with `_apply`, which never forms them.
     """
 
     local_branches: tuple[tuple[float, np.ndarray], ...]
@@ -83,7 +79,7 @@ class SpectralObservable:
     _subscripts: tuple[str, str] | None = field(repr=False)
 
     def __init__(self, branches, sites=None, name: str = "",
-                 n_qubits: int | None = None, cluster_tol: float = TOL_CLUSTER):
+                 n_qubits: int | None = None):
         local = []
         for eigenvalue, basis in branches:
             basis = np.array(basis, dtype=complex)  # a copy no caller can write
@@ -103,13 +99,12 @@ class SpectralObservable:
             total += basis.shape[1]
         if total != local_dim:
             raise ValueError(f"branch bases supply {total} vectors for dimension {local_dim}")
-        # Never below the window in which `_local_branch` matches a
-        # requested eigenvalue: closer branches could not be told apart.
-        separation = max(cluster_tol, TOL_LABEL)
+        # TOL_CLUSTER is above the window in which `_local_branch` matches
+        # a requested eigenvalue, so no two branches can be confused.
         values = [ev for ev, _ in local]
         for i, vi in enumerate(values):
             for vj in values[i + 1:]:
-                if abs(vi - vj) <= separation:
+                if abs(vi - vj) <= TOL_CLUSTER:
                     raise ValueError(f"branch eigenvalues {vi} and {vj} are not separated")
         union = np.hstack([basis for _, basis in local])
         gram_dev = max_abs(union.conj().T @ union - np.eye(local_dim))
@@ -203,13 +198,6 @@ class SpectralObservable:
     def branches(self) -> tuple[tuple[float, np.ndarray], ...]:
         """Register-wide (eigenvalue, dim x r basis) branches, built on demand."""
         return tuple((ev, self._dense(basis)) for ev, basis in self.local_branches)
-
-    def branch_basis(self, eigenvalue: float) -> np.ndarray:
-        return self._dense(self._local_branch(eigenvalue)[1])
-
-    def projector(self, eigenvalue: float) -> np.ndarray:
-        basis = self.branch_basis(eigenvalue)
-        return basis @ basis.conj().T
 
     def matrix(self) -> np.ndarray:
         """Hermitian matrix form: the eigenvalue-weighted sum of projectors."""
@@ -375,7 +363,7 @@ def _acted_qubits(a: np.ndarray, n: int) -> list[int]:
     return acted
 
 
-def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> SpectralObservable:
+def from_matrix(m, *, name: str = "") -> SpectralObservable:
     """Spectral observable from a Hermitian 2**n x 2**n matrix, on the
     sites of the n-qubit register it acts on.
 
@@ -389,10 +377,10 @@ def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> Spect
     M - M^dagger = (S - S^dagger) (x) I when M = S (x) I.
 
     A new eigenspace starts wherever two consecutive sorted eigenvalues lie
-    more than cluster_tol apart.  Each branch eigenvalue is its cluster's
+    more than TOL_CLUSTER apart.  Each branch eigenvalue is its cluster's
     mean, which lies inside the cluster, so adjacent branches pass the
-    constructor's check at the same cluster_tol.  A row count that is not
-    a power of two raises DimensionMismatchError.
+    constructor's check at the same width.  A row count that is not a power
+    of two raises DimensionMismatchError.
     """
     a = as_operator(m)
     n = max(len(a).bit_length() - 1, 0)
@@ -406,12 +394,11 @@ def from_matrix(m, *, cluster_tol: float = TOL_CLUSTER, name: str = "") -> Spect
     branches = []
     start = 0
     for k in range(1, len(eigenvalues) + 1):
-        if k == len(eigenvalues) or eigenvalues[k - 1] - eigenvalues[k] > cluster_tol:
+        if k == len(eigenvalues) or eigenvalues[k - 1] - eigenvalues[k] > TOL_CLUSTER:
             cluster = eigenvalues[start:k]
             branches.append((float(np.mean(cluster)), decomp.eigenvectors[:, start:k]))
             start = k
-    return SpectralObservable(branches=tuple(branches), sites=sites, n_qubits=n, name=name,
-                              cluster_tol=cluster_tol)
+    return SpectralObservable(branches=tuple(branches), sites=sites, n_qubits=n, name=name)
 
 
 @dataclass(frozen=True)
@@ -736,7 +723,7 @@ class InvarianceReport:
     invariant: bool
     max_deviation: float
     trials: int
-    deviations: tuple[float, ...] = field(default=(), repr=False)
+    deviations: tuple[float, ...] = field(repr=False)
 
 
 def _su2_stack(q: np.ndarray) -> np.ndarray:
@@ -754,26 +741,6 @@ def _su2_stack(q: np.ndarray) -> np.ndarray:
     u[:, 0, 1] = c + 1j * d
     u[:, 1, 0] = -c + 1j * d
     u[:, 1, 1] = a - 1j * b
-    return u
-
-
-def _su2_from_rng(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform SU(2) element from a normalized Gaussian quaternion."""
-    return _su2_stack(rng.standard_normal((1, 4)))[0]
-
-
-def random_su2(seed: int) -> np.ndarray:
-    """Deterministic Haar-uniform single-qubit rotation for a seed."""
-    return _su2_from_rng(np.random.default_rng(seed))
-
-
-def _require_unitary(u: np.ndarray) -> np.ndarray:
-    u = as_operator(u)
-    if u.shape != (2, 2):
-        raise DimensionMismatchError(f"rotations must be 2x2, got {u.shape}")
-    dev = max_abs(u.conj().T @ u - IDENTITY_2)
-    if dev > TOL_HERM:
-        raise NonUnitaryError(f"rotation is not unitary: deviation {dev:.3e}")
     return u
 
 
@@ -810,47 +777,34 @@ def _conjugation_deviations(m: np.ndarray, rotations: np.ndarray,
     return np.abs(dev).max(axis=(1, 2)).tolist()
 
 
-def check_invariance(obs: SpectralObservable, rotation=None, *,
-                     pattern: str = "equal", trials: int = 1, seed: int = 0,
-                     tol: float = TOL_INVARIANCE) -> InvarianceReport:
+def check_invariance(obs: SpectralObservable, *, pattern: str, trials: int,
+                     seed: int) -> InvarianceReport:
     """Audit invariance of an observable under tensor-product rotations.
 
     pattern "equal" conjugates by u x u x ... x u; pattern "per_site" uses an
-    independent rotation on every qubit.  With `rotation` given, runs that
-    single trial (a 2x2 unitary within TOL_HERM, or a sequence of per-site
-    2x2 unitaries);
-    otherwise draws `trials` seeded Haar-random rotations, trial by trial
-    and site by site from one stream, and audits them in batches.  This
-    measures how far the drawn rotations move the observable;
-    `invariance_residual` decides invariance under the whole group.
+    independent rotation on every qubit.  Draws `trials` seeded Haar-random
+    rotations, trial by trial and site by site from one stream, and audits
+    them in batches against TOL_INVARIANCE.  This measures how far the drawn
+    rotations move the observable; `invariance_residual` decides invariance
+    under the whole group.
     """
     if pattern not in ("equal", "per_site"):
         raise ValueError(f"pattern must be 'equal' or 'per_site', got {pattern!r}")
-    if rotation is None and trials < 1:
+    if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = obs.n_qubits
     m = obs.matrix()
-    if rotation is not None:
-        if pattern == "equal":
-            factors = [_require_unitary(rotation)]
-        else:
-            factors = [_require_unitary(u) for u in rotation]
-            if len(factors) != n:
-                raise ValueError(f"per_site pattern needs {n} rotations, got {len(factors)}")
-        size = 1
-        batches = [np.stack(factors)[None]]
-    else:
-        rng = np.random.default_rng(seed)
-        draws = 1 if pattern == "equal" else n
-        size = min(trials, max(1, _INVARIANCE_BATCH_BYTES // m.nbytes))
-        batches = (_su2_stack(rng.standard_normal((min(size, trials - start) * draws, 4)))
-                   .reshape(-1, draws, 2, 2)
-                   for start in range(0, trials, size))
+    rng = np.random.default_rng(seed)
+    draws = 1 if pattern == "equal" else n
+    size = min(trials, max(1, _INVARIANCE_BATCH_BYTES // m.nbytes))
+    batches = (_su2_stack(rng.standard_normal((min(size, trials - start) * draws, 4)))
+               .reshape(-1, draws, 2, 2)
+               for start in range(0, trials, size))
     work = np.empty((3, size) + m.shape, dtype=complex)
     deviations = []
     for batch in batches:
         deviations += _conjugation_deviations(
             m, np.broadcast_to(batch, (len(batch), n, 2, 2)), work)
     max_dev = max(deviations)
-    return InvarianceReport(invariant=max_dev < tol, max_deviation=max_dev,
+    return InvarianceReport(invariant=max_dev < TOL_INVARIANCE, max_deviation=max_dev,
                             trials=len(deviations), deviations=tuple(deviations))

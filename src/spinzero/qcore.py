@@ -18,7 +18,7 @@ MAX_QUBITS = 10
 # ones in DEFAULT_TOLERANCES for the commands that read them; the rest are fixed.
 TOL_NORM = 1e-10       # state normalization
 TOL_ORTH = 1e-10       # orthonormality of eigenbases
-TOL_HERM = 1e-10       # hermiticity / unitarity deviation
+TOL_HERM = 1e-10       # hermiticity deviation
 TOL_CLUSTER = 1e-8     # eigenvalue clustering width
 TOL_COMMUTE = 1e-10    # largest commutator entry of observables that commute
 TOL_RANK = 1e-9        # rank of a projected eigenspace; containment in a branch
@@ -42,7 +42,6 @@ DEFAULT_TOLERANCES = {
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 class CapacityError(ValueError):
@@ -55,10 +54,6 @@ class DimensionMismatchError(ValueError):
 
 class NonHermitianError(ValueError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
-class NonUnitaryError(ValueError):
-    """A matrix required to be unitary is not, beyond tolerance."""
 
 
 def as_state(amplitudes, *, require_unit: bool = False) -> np.ndarray:

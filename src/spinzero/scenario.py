@@ -859,33 +859,6 @@ def _fmt_oexpr(node) -> str:
     raise TypeError(f"unknown observable expression node {node!r}")
 
 
-def scenarios_equivalent(a: Scenario, b: Scenario, atol: float = 1e-10) -> bool:
-    """Equivalence used by the parse/print round-trip check: every binding
-    equal at the amplitude level, and the same program lines in the same
-    order, compared by their canonical text."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    if set(a.states) != set(b.states) or set(a.observables) != set(b.observables):
-        return False
-    for name, vec in a.states.items():
-        if vec.shape != b.states[name].shape or not np.allclose(vec, b.states[name], atol=atol):
-            return False
-    for name, obs in a.observables.items():
-        other = b.observables[name]
-        if obs.eigenvalues != other.eigenvalues:
-            return False
-        for ev in obs.eigenvalues:
-            if not np.allclose(obs.projector(ev), other.projector(ev), atol=atol):
-                return False
-    return _program_text(a) == _program_text(b)
-
-
-def _program_text(scenario: Scenario) -> list[str]:
-    """The measure, assert_prob and report lines, without their positions."""
-    return [_format_statement(st) for st in scenario.statements
-            if isinstance(st, (MeasureStmt, AssertProbStmt, ReportStmt))]
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -1009,28 +982,6 @@ def _claimed_value(distribution: Distribution, zero_tol: float):
     possible = tuple(distribution.probability(v) > zero_tol for v in (1.0, -1.0))
     return {(True, False): 1.0, (False, True): -1.0,
             (True, True): "ambiguous"}.get(possible, "undefined")
-
-
-def assign_claimed_value(outcome):
-    """Value the audited lookup rule attributes to the collective observable
-    for one outcome string of (sigma_z1, sigma_z2, sigma_x3, sigma_x4).
-
-    Builds the outcome's mixed-basis eigenstate and compares its overlaps
-    with the +1 and -1 eigenvectors of the collective observable: +1.0 or
-    -1.0 when exactly one overlap is nonzero (above TOL_ZERO), "ambiguous"
-    when both are, "undefined" when neither is.
-    """
-    outcome = tuple(int(s) for s in outcome)
-    if len(outcome) != 4 or any(s not in (1, -1) for s in outcome):
-        raise ValueError(f"outcome must be four signs, got {outcome!r}")
-    chars = []
-    for sign, (axis, _) in zip(outcome, _SPIN_PROGRAM):
-        if axis == "z":
-            chars.append("0" if sign > 0 else "1")
-        else:
-            chars.append("+" if sign > 0 else "-")
-    ket = basis_ket("".join(chars))
-    return _claimed_value(born_distribution(ket, observable_f()), TOL_ZERO)
 
 
 def _default_spin_program(n: int):

@@ -55,6 +55,50 @@ def kron_chain(*mats) -> np.ndarray:
     return out
 
 
+def _reference_su2(rng):
+    """One rotation drawn the per-trial way: four normals, np.linalg.norm."""
+    q = rng.standard_normal(4)
+    q = q / np.linalg.norm(q)
+    a, b, c, d = q
+    return np.array([[a + 1j * b, c + 1j * d],
+                     [-c + 1j * d, a - 1j * b]], dtype=complex)
+
+
+def dense_projector(obs, eigenvalue) -> np.ndarray:
+    """B B^dagger for the register-wide basis B of the branch within 1e-12
+    of `eigenvalue`, from the dense `branches` view."""
+    (basis,) = [b for ev, b in obs.branches if abs(ev - eigenvalue) <= 1e-12]
+    return basis @ basis.conj().T
+
+
+def scenarios_equivalent(a, b) -> bool:
+    """The parse/print round-trip check: the same register, every state equal
+    to 1e-10, every observable on the same sites with the same eigenvalues
+    and local-branch projectors, and the same measure, assert_prob and report
+    lines in the same order, compared by their canonical text."""
+    from spinzero.scenario import format_scenario
+
+    if a.n_qubits != b.n_qubits:
+        return False
+    if set(a.states) != set(b.states) or set(a.observables) != set(b.observables):
+        return False
+    for name, vec in a.states.items():
+        if vec.shape != b.states[name].shape or not np.allclose(vec, b.states[name], atol=1e-10):
+            return False
+    for name, obs in a.observables.items():
+        other = b.observables[name]
+        if obs.sites != other.sites or obs.eigenvalues != other.eigenvalues:
+            return False
+        for (_, p), (_, q) in zip(obs.local_branches, other.local_branches):
+            if not np.allclose(p @ p.conj().T, q @ q.conj().T, atol=1e-10):
+                return False
+
+    def program(scenario):
+        return [line for line in format_scenario(scenario).splitlines()
+                if line.startswith(("measure ", "assert_prob ", "report "))]
+    return program(a) == program(b)
+
+
 # A 400-digit integer: too large to convert to a float.
 HUGE_INT = "9" * 400
 # 1e308 and 1e200 fit a float; twice the first, or the square of the second, does not.

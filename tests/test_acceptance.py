@@ -41,11 +41,10 @@ from spinzero.scenario import (
     format_scenario,
     parse_scenario,
     run_claimed_protocol,
-    scenarios_equivalent,
 )
 from spinzero.cli import main as cli_main
 
-from helpers import MALFORMED_INPUTS, scenario_corpus
+from helpers import MALFORMED_INPUTS, scenario_corpus, scenarios_equivalent
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -141,7 +140,7 @@ def test_criterion_07_spin_zero_oracle():
 
 
 def test_criterion_08_eigensolver_round_trip():
-    clustered = from_matrix(observable_f().matrix(), cluster_tol=1e-8)
+    clustered = from_matrix(observable_f().matrix())
     sizes = {ev: basis.shape[1] for ev, basis in clustered.branches}
     cluster_ok = (len(sizes) == 3
                   and all(abs(ev - round(ev)) < 1e-10 for ev in sizes)
@@ -224,7 +223,7 @@ def test_criterion_11_parser(capsys):
     for text in scenario_corpus(rng, 100):
         first = parse_scenario(text)
         second = parse_scenario(format_scenario(first))
-        if scenarios_equivalent(first, second, atol=1e-10):
+        if scenarios_equivalent(first, second):
             round_trips += 1
 
     malformed_ok = 0

@@ -35,6 +35,7 @@ from spinzero.states import basis_ket, total_spin_squared
 from helpers import (
     PHI0_EXPECTED,
     PHI1_EXPECTED,
+    dense_projector,
     kron_chain,
     per_node_eigenspaces,
     per_node_paths,
@@ -126,7 +127,7 @@ def test_nested_embed_composes_site_maps(register10):
 def test_dense_views_match_kron_oracle():
     f = embed(observable_f(), [7, 4, 2, 6], 7)
     for ev, p in f_projectors([7, 4, 2, 6], 7).items():
-        assert np.allclose(f.projector(ev), p, atol=1e-12)
+        assert np.allclose(dense_projector(f, ev), p, atol=1e-12)
 
 
 def test_mixed_program_with_site_less_observable():

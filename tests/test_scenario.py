@@ -13,7 +13,6 @@ from spinzero.measurement import ZeroProbabilityError
 from spinzero.scenario import (
     ScenarioParseError,
     ScenarioRuntimeError,
-    assign_claimed_value,
     check_eta_candidate,
     dirac_audit,
     format_scenario,
@@ -21,7 +20,6 @@ from spinzero.scenario import (
     parse_scenario_file,
     run_claimed_protocol,
     run_scenario,
-    scenarios_equivalent,
 )
 
 from helpers import (
@@ -32,6 +30,7 @@ from helpers import (
     kron_chain,
     mixed_ket_for_signs,
     scenario_corpus,
+    scenarios_equivalent,
 )
 
 
@@ -358,19 +357,25 @@ def test_round_trip_corpus():
     for text in scenario_corpus(rng, 100):
         first = parse_scenario(text)
         second = parse_scenario(format_scenario(first))
-        assert scenarios_equivalent(first, second, atol=1e-10), text
+        assert scenarios_equivalent(first, second), text
 
 
 # ---------------------------------------------------------------------------
 # the claimed protocol
 
+def claimed_value(signs):
+    """The lookup rule's value for one outcome of (sigma_z1, sigma_z2,
+    sigma_x3, sigma_x4), run on that outcome's own eigenstate."""
+    return run_claimed_protocol(mixed_ket_for_signs(signs), signs).claimed_value
+
+
 def test_assign_claimed_value_all_up():
-    assert assign_claimed_value((1, 1, 1, 1)) == 1.0
+    assert claimed_value((1, 1, 1, 1)) == 1.0
 
 
 def test_assign_claimed_value_x_flipped():
     # Overlap with phi0 stays zero; with phi1 it is 1/(2 sqrt 3).
-    assert assign_claimed_value((1, 1, -1, -1)) == 1.0
+    assert claimed_value((1, 1, -1, -1)) == 1.0
     ket = mixed_ket_for_signs((1, 1, -1, -1))
     pair = spin_zero_basis()
     assert abs(inner(pair.phi1, ket) - 1.0 / (2.0 * math.sqrt(3.0))) < 1e-12
@@ -384,19 +389,19 @@ def test_assign_claimed_value_alternating_is_minus_one():
     pair = spin_zero_basis()
     assert abs(abs(inner(pair.phi0, ket)) - 0.5) < 1e-12
     assert abs(inner(pair.phi1, ket)) < 1e-14
-    assert assign_claimed_value((1, -1, 1, -1)) == -1.0
+    assert claimed_value((1, -1, 1, -1)) == -1.0
 
 
 def test_assign_claimed_value_partition_is_stable():
     counts = {1.0: 0, -1.0: 0, "ambiguous": 0, "undefined": 0}
     for signs in itertools.product([1, -1], repeat=4):
-        counts[assign_claimed_value(signs)] += 1
+        counts[claimed_value(signs)] += 1
     assert counts == {1.0: 12, -1.0: 4, "ambiguous": 0, "undefined": 0}
 
 
 def test_assign_claimed_value_arity():
-    with pytest.raises(ValueError):
-        assign_claimed_value((1, 1, 1))
+    with pytest.raises(ValueError, match="4 observables but 3 outcomes"):
+        run_claimed_protocol(mixed_ket_for_signs((1, 1, 1, 1)), (1, 1, 1))
 
 
 def test_run_claimed_protocol_refutes_on_post_measurement_state():

@@ -5,7 +5,7 @@ import pytest
 
 from spinzero.qcore import CapacityError, fidelity, hermitian_eigen, inner, max_abs
 from spinzero.measurement import run_sequence
-from spinzero.observables import _su2_from_rng, pauli
+from spinzero.observables import pauli
 from spinzero.states import (
     SINGLET_2,
     basis_ket,
@@ -16,7 +16,7 @@ from spinzero.states import (
     total_spin_squared,
 )
 
-from helpers import PHI0_EXPECTED, PHI1_EXPECTED, kron_chain, product_ket
+from helpers import PHI0_EXPECTED, PHI1_EXPECTED, _reference_su2, kron_chain, product_ket
 
 
 def test_basis_ket_single():
@@ -75,7 +75,7 @@ def test_singlet_rotation_invariance():
     rng = np.random.default_rng(23)
     s = singlet()
     for _ in range(100):
-        u = _su2_from_rng(rng)
+        u = _reference_su2(rng)
         rotated = kron_chain(u, u) @ s
         assert fidelity(rotated, s) >= 1.0 - 1e-10
 
@@ -147,7 +147,7 @@ def test_spin_zero_pair_fixed_by_equal_rotations():
     pair = spin_zero_basis()
     rng = np.random.default_rng(29)
     for _ in range(100):
-        u = _su2_from_rng(rng)
+        u = _reference_su2(rng)
         v = kron_chain(u, u, u, u)
         assert fidelity(v @ pair.phi0, pair.phi0) >= 1.0 - 1e-10
         assert fidelity(v @ pair.phi1, pair.phi1) >= 1.0 - 1e-10
