@@ -191,7 +191,7 @@ def _sequence_paths(state, program, norm_tol: float):
     a depth are the rows of one stack, each branch projects the whole stack
     in one call, and the results interleave path-major, branch-minor, which
     is the outcome order.  Each row gets the bits of projecting it alone
-    (`SpectralObservable._apply` names the one exception).
+    (`SpectralObservable._apply`).
     """
     program = list(program)
     if not program:

@@ -77,6 +77,7 @@ class SpectralObservable:
     dim: int
     name: str
     _subscripts: tuple[str, str] | None = field(repr=False)
+    _axes: tuple[tuple[int, ...], tuple[int, ...]] | None = field(repr=False)
 
     def __init__(self, branches, sites=None, name: str = "",
                  n_qubits: int | None = None):
@@ -130,7 +131,9 @@ class SpectralObservable:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "dim", 2 ** n)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_subscripts", _einsum_subscripts(sites, n))
+        subscripts, axes = _kernel_plan(sites, n)
+        object.__setattr__(self, "_subscripts", subscripts)
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def n_qubits(self) -> int:
@@ -160,19 +163,31 @@ class SpectralObservable:
         ascending), the column order of the dense view.  Plain einsum, not
         BLAS: BLAS kernels fuse multiply-adds, which leaves ~1e-34 residues
         where an impossible outcome's amplitudes cancel exactly.  When the
-        sites are the whole register in order, BLAS applies B directly, one
+        sites are the whole register, BLAS applies B directly, one
         matrix-vector product per vector (~40 us against ~150 us in einsum
         for 64 vectors and a 64 x 27 basis), keeping those reports' digits.
+        When they are the whole register out of order, the qubit axes of v
+        are transposed into site order before B^dagger v, and those of B c
+        back into register order after it.
 
         The stack's batch axis leads, so einsum contracts each vector as it
-        would contract it alone, and each gets the same bits.  The one
-        exception is an observable whose sites permute the whole register
-        (no other qubits): einsum may then sum a lone vector in another
-        grouping, and the two differ in the last bits.
+        would contract it alone, and BLAS runs one product per vector: each
+        vector gets the bits it gets alone.  (On a whole register out of
+        order, einsum may sum a lone vector in another grouping than a
+        stack's rows; that is why such sites take the BLAS branch.)
         """
         if self._subscripts is None:
             op = basis.conj().T if adjoint else basis
-            return np.matmul(op, arr[..., None])[..., 0]
+            if self._axes is None:
+                return np.matmul(op, arr[..., None])[..., 0]
+            to_local, to_register = self._axes
+            rows = arr.reshape(-1, arr.shape[-1])
+            if adjoint:
+                rows = _transpose_qubits(rows, to_local)
+            out = np.matmul(op, rows[..., None])[..., 0]
+            if not adjoint:
+                out = _transpose_qubits(out, to_register)
+            return out.reshape(arr.shape[:-1] + (-1,))
         to_local, to_register = self._subscripts
         k = len(self.sites)
         batch = arr.shape[:-1]
@@ -190,7 +205,7 @@ class SpectralObservable:
         return self._apply(basis, self._apply(basis, arr, adjoint=True))
 
     def _dense(self, basis: np.ndarray) -> np.ndarray:
-        if self._subscripts is None:
+        if self._subscripts is None and self._axes is None:
             return basis
         return _lift_columns(basis, self.sites, self.n_qubits)
 
@@ -291,19 +306,26 @@ def _check_sites(sites, n: int) -> None:
 
 
 @cache
-def _einsum_subscripts(sites: tuple[int, ...], n: int) -> tuple[str, str] | None:
-    """Einsum subscripts of the projection kernel for a local basis on
-    `sites` of an n-qubit register: (B^dagger arr, B coeff).  None when the
-    sites are the whole register in order, so the local bases already are
-    the register-wide ones.  Cached: every placement on the same sites of
-    the same register asks for the same strings."""
-    if sites == tuple(range(1, n + 1)):
-        return None
+def _kernel_plan(sites: tuple[int, ...], n: int):
+    """How the projection kernel applies a local basis on `sites` of an
+    n-qubit register: (einsum subscripts, register axes).
+
+    The subscripts, (B^dagger arr, B coeff), are None when the sites are
+    the whole register, which BLAS then applies.  The axes are None unless
+    the sites permute the whole register; they are then the transposes of a
+    stack of rows with one axis per qubit that put the qubits into site
+    order and back into register order.  Cached: every placement on the
+    same sites of the same register asks for the same plan."""
+    register = tuple(range(1, n + 1))
+    if sites == register:
+        return None, None
+    if sorted(sites) == list(register):
+        return None, ((0,) + sites, (0,) + tuple(sites.index(t) + 1 for t in register))
     axes = [chr(ord("a") + q) for q in range(n)]
     local = "".join(axes[s - 1] for s in sites) + "R"
     rest = "R" + "".join(a for q, a in enumerate(axes, start=1) if q not in sites)
-    register = "".join(axes)
-    return f"{local},...{register}->...{rest}", f"{local},...{rest}->...{register}"
+    full = "".join(axes)
+    return (f"{local},...{full}->...{rest}", f"{local},...{rest}->...{full}"), None
 
 
 def _lift_columns(basis: np.ndarray, sites, n: int) -> np.ndarray:
@@ -458,9 +480,13 @@ def _reorder_qubits(rows: np.ndarray, source, target) -> np.ndarray:
     significant) with their qubits put in `target` order."""
     if source == target:
         return rows
-    w = len(source)
-    axes = [0] + [source.index(t) + 1 for t in target]
-    return rows.reshape((len(rows),) + (2,) * w).transpose(axes).reshape(rows.shape)
+    return _transpose_qubits(rows, [0] + [source.index(t) + 1 for t in target])
+
+
+def _transpose_qubits(rows: np.ndarray, axes) -> np.ndarray:
+    """A 2-D stack of rows with one axis per qubit transposed by `axes`
+    (axis 0 is the row axis), as a new stack of the same shape."""
+    return rows.reshape((len(rows),) + (2,) * (len(axes) - 1)).transpose(axes).reshape(rows.shape)
 
 
 def _matrix_on(obs: SpectralObservable, qubits) -> np.ndarray:
@@ -745,31 +771,39 @@ def _su2_stack(q: np.ndarray) -> np.ndarray:
 
 
 # Trials per batch in check_invariance: as many as fill this many bytes with
-# one 2**n x 2**n complex matrix each (at least one).  This budget keeps peak
-# memory at that of the one-trial loop; 2**18 cut 4-5 qubit audits by a
-# further ~30% but raised their peak by 0.4 MB.
-_INVARIANCE_BATCH_BYTES = 2 ** 16
+# one 2**n x 2**n complex matrix each (at least one): 64 at four qubits, 16
+# at five, 4 at six, and one from seven up, where peak memory stays that of
+# the one-trial loop.  Swept with the full-length fold (2-core x86 host, one
+# BLAS thread): against 2**16, 2**18 cut the sampler by about a fifth at
+# four to six qubits; 2**20 was no faster, and raised a benchmark probe's
+# peak RSS from 43.9 to 47.6 MB.
+_INVARIANCE_BATCH_BYTES = 2 ** 18
 
 
 def _conjugation_deviations(m: np.ndarray, rotations: np.ndarray,
                             work: np.ndarray) -> list[float]:
     """max |v m v^dagger - m| for v = u_1 x ... x u_n of each trial.
 
-    `rotations` holds one row of n 2x2 factors per trial.  The Kronecker
-    fold forms `np.kron`'s elementwise products on the whole stack, and the
-    stacked matmul runs the GEMM of a single trial on each, so every
-    deviation has the bits of the one-trial computation.  `work` holds three
-    stacks of m-shaped matrices with room for every trial; the caller reuses
-    it across batches, where fresh matrices of 1 MB and up (8 qubits) cost
-    page faults on every trial.
+    `rotations` holds one row of n 2x2 factors per trial.  Each Kronecker
+    fold step writes u_1 x ... x u_k as four full-length scaled copies of
+    the previous factor, one per entry (a, b) of u_k, into rows 2i + a and
+    columns 2j + b: the products `np.kron` forms, in its operand order, on
+    the whole stack.  The stacked matmul runs the GEMM of a single trial on
+    each, so every deviation has the bits of the one-trial computation.
+    `work` holds three stacks of m-shaped matrices with room for every
+    trial; the caller reuses it across batches, where fresh matrices of
+    1 MB and up (8 qubits) cost page faults on every trial.
     """
     count, n = rotations.shape[:2]
     vm, vh, dev = work[:, :count]
     v = rotations[:, 0]
     for k in range(1, n):
         rows, cols = v.shape[1:]
-        v = (v[:, :, None, :, None] * rotations[:, k, None, :, None, :]).reshape(
-            count, 2 * rows, 2 * cols)
+        out = np.empty((count, rows, 2, cols, 2), dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                np.multiply(v, rotations[:, k, a, b, None, None], out=out[:, :, a, :, b])
+        v = out.reshape(count, 2 * rows, 2 * cols)
     np.matmul(v, m, out=vm)
     np.conjugate(v, out=vh)
     np.matmul(vm, vh.transpose(0, 2, 1), out=dev)

@@ -26,6 +26,7 @@ from spinzero.observables import (
     is_function_of,
     joint_eigenspaces,
     observable_f,
+    observable_g,
     pauli,
 )
 from spinzero.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_LABEL, normalize, random_state
@@ -222,11 +223,47 @@ def site_less_program():
     return random_state(n, np.random.default_rng(11)), program
 
 
+def permuted_register_program():
+    """Three Paulis, then F and G on sites that permute the whole register:
+    the permuted observables project stacks of 8 and 24 rows."""
+    n = 4
+    program = [pauli("x", 1, n), pauli("y", 3, n), pauli("x", 4, n),
+               embed(observable_f(), [2, 1, 3, 4], n), embed(observable_g(), [4, 3, 2, 1], n)]
+    return random_state(n, np.random.default_rng(24)), program
+
+
 @pytest.mark.parametrize("make", [refutation_program, generated_ten_qubit_program,
-                                  ten_qubit_program_with_embedded_f, site_less_program])
+                                  ten_qubit_program_with_embedded_f, site_less_program,
+                                  permuted_register_program])
 def test_sequence_distribution_has_the_bits_of_per_node_projection(make):
     state, program = make()
     assert sequence_distribution(state, program).entries == tuple(per_node_paths(state, program))
+
+
+@pytest.mark.parametrize("sites", [[2, 1, 3, 4], [4, 3, 2, 1], [3, 4, 1, 2]])
+def test_a_permuted_register_observable_is_its_in_order_twin(sites):
+    """Sites that permute the whole register are applied by BLAS on the
+    register in site order: batched rows get the bits of lone vectors, and
+    the Born distribution has the bits of F on the state with its qubits
+    put in site order."""
+    rng = np.random.default_rng(31)
+    moved, f = embed(observable_f(), sites, 4), observable_f()
+    rows = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+    for _, basis in moved.local_branches:
+        coeffs = moved._apply(basis, rows, adjoint=True)
+        assert np.array_equal(coeffs, [moved._apply(basis, row, adjoint=True) for row in rows])
+        assert np.array_equal(moved._apply(basis, coeffs), [moved._apply(basis, c) for c in coeffs])
+        projector = lift(basis @ basis.conj().T, sites, 4)
+        assert np.allclose(moved._project(basis, rows), rows @ projector.T, atol=1e-12)
+    for row in rows:
+        state = row / np.linalg.norm(row)
+        twin = state.reshape((2,) * 4).transpose([s - 1 for s in sites]).reshape(-1)
+        born = born_distribution(state, moved)
+        assert born.entries == born_distribution(twin, f).entries
+        sequence = sequence_distribution(state, [moved])
+        assert [outcome for outcome, _ in sequence.entries] == [(ev,) for ev, _ in born.entries]
+        assert np.allclose([p for _, p in sequence.entries], [p for _, p in born.entries],
+                           rtol=0, atol=1e-15)
 
 
 def spin_component(axis, n):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -347,16 +348,42 @@ def _reference_deviations(obs, pattern, trials, seed):
     observable_g,
     lambda: pauli("z", 1, 8),
     lambda: from_matrix(total_spin_squared(5)),
-], ids=["F", "G", "z1-of-8", "S2-5"])
+    lambda: from_matrix(total_spin_squared(6)),
+], ids=["F", "G", "z1-of-8", "S2-5", "S2-6"])
 def test_batched_invariance_bits_equal_per_trial_reference(build):
     obs = build()
     batch = max(1, observables._INVARIANCE_BATCH_BYTES // obs.matrix().nbytes)
-    assert 25 > batch  # 25 trials take more than one batch
     for pattern, seed in (("equal", 5), ("per_site", 7)):
-        for trials in (1, 25):
+        # one trial, and two full batches plus a partial one
+        for trials in (1, 2 * batch + 1):
             report = check_invariance(obs, pattern=pattern, trials=trials, seed=seed)
             assert report.deviations == _reference_deviations(obs, pattern, trials, seed)
             assert report.max_deviation == max(report.deviations)
+
+
+@pytest.mark.parametrize("build, per_batch", [
+    (lambda: pauli("z", 1, 8), 1),
+    (lambda: from_matrix(total_spin_squared(6)), 4),
+], ids=["z1-of-8", "S2-6"])
+def test_invariance_peak_memory_stays_within_the_batch_budget(build, per_batch):
+    """check_invariance's traced peak, the dense matrix it builds included,
+    stays within 8 times the larger of the matrix and the batch budget: the
+    work stacks take three such blocks, and the matrix, its branch views,
+    the Kronecker fold and the deviations the rest (about 6.2 at 8 qubits
+    and 5.0 at 6).  The trials per batch are pinned, so a new budget shows
+    here before it grows the memory of 7-10 qubit audits."""
+    obs = build()
+    m = obs.matrix()
+    assert max(1, observables._INVARIANCE_BATCH_BYTES // m.nbytes) == per_batch
+    unit = max(m.nbytes, observables._INVARIANCE_BATCH_BYTES)
+    for pattern in ("equal", "per_site"):
+        tracemalloc.start()
+        try:
+            check_invariance(obs, pattern=pattern, trials=2 * per_batch + 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * unit
 
 
 def test_random_su2_bits_equal_single_draw_reference():
