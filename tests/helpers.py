@@ -199,6 +199,12 @@ def random_scenario_text(rng) -> str:
         else:
             lines.append(f"obs {name} = sigma {axis} {site}")
         obs_names.append(name)
+    # The corpus is parsed and printed, not run, so the outcomes need not
+    # be possible.
+    if rng.random() < 0.6:
+        names = [str(rng.choice(obs_names)) for _ in range(int(rng.integers(1, 4)))]
+        signs = "".join(rng.choice(["+", "-"]) for _ in names)
+        lines.append(f"measure {', '.join(names)} outcomes {signs}")
     if obs_names and rng.random() < 0.7:
         name = rng.choice(obs_names)
         num = int(rng.integers(0, 3))

@@ -66,6 +66,80 @@ def test_run_shipped_scenario(capsys):
     assert "result: PASS" in out
 
 
+def _assert_report_matches(actual, expected, path="report"):
+    """The same keys in the same order at every level, the same types, equal
+    strings, booleans and integers, and floats within 1e-12."""
+    assert type(actual) is type(expected), path
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), path
+        for key, value in expected.items():
+            _assert_report_matches(actual[key], value, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for k, (a, e) in enumerate(zip(actual, expected)):
+            _assert_report_matches(a, e, f"{path}[{k}]")
+    elif isinstance(expected, float):
+        assert abs(actual - expected) <= 1e-12, path
+    else:
+        assert actual == expected, path
+
+
+def _distribution(*rows):
+    return [{"outcome": outcome, "probability": p} for outcome, p in rows]
+
+
+def test_run_report_of_the_shipped_scenario_keeps_its_shape(capsys):
+    code, out, _ = run_cli(capsys, "run", str(REFUTATION_SCENARIO), "--format", "json")
+    assert code == 0
+    assertions = [("f", "+1", "1/12", 1 / 12), ("f", "-1", "0", 0.0),
+                  ("g", "+1", "3/4", 0.75), ("g", "-1", "1/4", 0.25)]
+    _assert_report_matches(json.loads(out), {
+        "command": "run",
+        "input": str(REFUTATION_SCENARIO),
+        "measurements": [{"observables": ["sz1", "sz2", "sx3", "sx4"], "outcomes": "++++",
+                          "step_probabilities": [1.0, 1.0, 1.0, 1.0],
+                          "joint_probability": 1.0}],
+        "assertions": [{"observable": name, "outcome": outcome, "expected": text,
+                        "expected_value": p, "computed": p, "passed": True}
+                       for name, outcome, text, p in assertions],
+        "reports": [
+            {"observable": "f", "distribution": _distribution(("+1", 1 / 12), ("-1", 0.0),
+                                                              ("0", 11 / 12))},
+            {"observable": "g", "distribution": _distribution(("+1", 0.75), ("-1", 0.25),
+                                                              ("0", 0.0))}],
+        "passed": True,
+        "note": ("note: the spin-zero pair behind F and G is reconstructed from its two "
+                 "defining overlap checks (0 and 1/12 against |00++>); any rotation inside "
+                 "the spin-zero subspace passes the same checks, so branch-resolved values "
+                 "such as the 3/4 conditional depend on this choice of pair."),
+    })
+
+
+def test_sample_report_of_the_shipped_scenario_keeps_its_shape(capsys):
+    code, out, _ = run_cli(capsys, "sample", str(REFUTATION_SCENARIO), "--trials", "1000",
+                           "--seed", "1", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    rows = [{"outcome": "".join(signs), "probability": 0.0, "count": 0, "frequency": 0.0,
+             "sigma_deviation": 0.0} for signs in itertools.product("+-", repeat=4)]
+    rows[0].update(probability=1.0, count=1000, frequency=1.0)
+    # P(++++) is 1 up to rounding, so its sigma is rounding noise too: pin
+    # the formula on the reported fields rather than the quotient's digits.
+    first = report["rows"][0]
+    rows[0]["sigma_deviation"] = (abs(first["frequency"] - first["probability"])
+                                  / math.sqrt(first["probability"]
+                                              * (1.0 - first["probability"]) / 1000))
+    _assert_report_matches(report, {
+        "command": "sample",
+        "input": str(REFUTATION_SCENARIO),
+        "state": "post",
+        "observables": ["sz1", "sz2", "sx3", "sx4"],
+        "trials": 1000,
+        "seed": 1,
+        "rows": rows,
+    })
+
+
 def test_run_failing_assertion_reports_computed_value(capsys, tmp_path):
     path = tmp_path / "claim.qsc"
     path.write_text("qubits 8\nstate post = eta_tilde\n"

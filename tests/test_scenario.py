@@ -198,6 +198,25 @@ def test_shipped_scenario_is_equivalent_to_its_canonical_text():
     assert scenarios_equivalent(shipped, parse_scenario(format_scenario(shipped)))
 
 
+def test_shipped_scenario_prints_its_canonical_text():
+    assert format_scenario(parse_scenario_file(REFUTATION_SCENARIO)) == (
+        "qubits 8\n"
+        "state post = 1/2 (|00++> * (psi0 + 1*sqrt(3) psi1))\n"
+        "obs f = embed(F; 1,2,3,4; 8)\n"
+        "obs g = embed(G; 5,6,7,8; 8)\n"
+        "obs sz1 = sigma z 1\n"
+        "obs sz2 = sigma z 2\n"
+        "obs sx3 = sigma x 3\n"
+        "obs sx4 = sigma x 4\n"
+        "measure sz1, sz2, sx3, sx4 outcomes ++++\n"
+        "assert_prob f + = 1/12\n"
+        "assert_prob f - = 0\n"
+        "assert_prob g + = 3/4\n"
+        "assert_prob g - = 1/4\n"
+        "report f\n"
+        "report g\n")
+
+
 @pytest.mark.parametrize("old, new", [
     ("outcomes ++++", "outcomes +++-"),       # one outcome sign
     ("assert_prob f + = 1/12", "assert_prob f + = 1/6"),  # one rational
@@ -211,47 +230,73 @@ def test_a_different_program_is_not_equivalent(old, new):
     assert not scenarios_equivalent(shipped, parse_scenario(text.replace(old, new)))
 
 
-def test_reserved_names_rejected():
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("state phi0 = |0>\n")
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("obs sigma = F\n")
+# Each statement rule's error: its exact line, column and message.
+_PROGRAM = "qubits 1\nstate s = |0>\nobs a = sigma z 1\n"
+_NO_STATE = "qubits 1\nobs a = sigma z 1\n"
+
+STATEMENT_RULES = [
+    pytest.param("state phi0 = |0>\n", 1, 7, "'phi0' is a reserved name",
+                 id="reserved-state-name"),
+    pytest.param("obs sigma = F\n", 1, 5, "'sigma' is a reserved name", id="reserved-obs-name"),
+    pytest.param("state report = |0>\n", 1, 7, "'report' is a reserved name",
+                 id="reserved-statement-keyword"),
+    pytest.param("obs outcomes = F\n", 1, 5, "'outcomes' is a reserved name",
+                 id="reserved-outcomes"),
+    pytest.param("state x = |0>\nstate x = |1>\n", 2, 1, "state 'x' is already bound",
+                 id="state-rebound"),
+    pytest.param("obs f = F\nobs f = G\n", 2, 1, "observable 'f' is already bound",
+                 id="obs-rebound"),
+    pytest.param("state x = y\n", 1, 11, "unknown state 'y'", id="unknown-state"),
+    pytest.param("state x = |0>\nreport f\n", 2, 1, "unknown observable 'f'",
+                 id="unknown-obs-in-report"),
+    pytest.param(_PROGRAM + "measure a, b outcomes ++\n", 4, 1, "unknown observable 'b'",
+                 id="unknown-obs-in-measure"),
+    pytest.param(_PROGRAM + "assert_prob b + = 1\n", 4, 1, "unknown observable 'b'",
+                 id="unknown-obs-in-assert-prob"),
+    pytest.param(_PROGRAM + "assert_prob a ++ = 1/2\n", 4, 1,
+                 "assert_prob takes exactly one outcome sign", id="assert-prob-two-signs"),
+    pytest.param(_PROGRAM + "assert_prob a + = 1/0\n", 4, 19, "denominator must be nonzero",
+                 id="assert-prob-zero-denominator"),
+    pytest.param("qubits 2\nstate x = |00>\nobs a = sigma z 1\nobs b = sigma z 2\n"
+                 "measure a, b outcomes +\n", 5, 1, "2 observables but 1 outcome signs",
+                 id="measure-fewer-signs"),
+    pytest.param(_PROGRAM + "measure a outcomes ++\n", 4, 1,
+                 "1 observables but 2 outcome signs", id="measure-more-signs"),
+    pytest.param(_PROGRAM + "measure a +\n", 4, 11, "expected 'outcomes', got '+'",
+                 id="measure-missing-outcomes"),
+    pytest.param(_PROGRAM + "measure a outcome +\n", 4, 11, "expected 'outcomes'",
+                 id="measure-misspelt-outcomes"),
+    pytest.param("obs z = sigma z 1\n", 1, 9, "declare qubits before using sigma",
+                 id="sigma-before-qubits"),
+    pytest.param("qubits 1\nqubits 1\n", 2, 1, "duplicate qubits declaration",
+                 id="duplicate-qubits"),
+    pytest.param("qubits 0\n", 1, 1, "qubit count must be in 1..10, got 0", id="qubits-0"),
+    pytest.param("qubits 11\n", 1, 1, "qubit count must be in 1..10, got 11", id="qubits-11"),
+    pytest.param(_NO_STATE + "measure a outcomes +\n", 3, 1,
+                 "no state defined before this statement", id="measure-before-state"),
+    pytest.param(_NO_STATE + "assert_prob a + = 1\n", 3, 1,
+                 "no state defined before this statement", id="assert-prob-before-state"),
+    pytest.param(_NO_STATE + "report a\n", 3, 1,
+                 "no state defined before this statement", id="report-before-state"),
+]
 
 
-def test_duplicate_binding_rejected():
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("state x = |0>\nstate x = |1>\n")
-
-
-def test_unknown_names_rejected():
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("state x = y\n")
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("state x = |0>\nreport f\n")
-
-
-def test_sigma_requires_qubits_declaration():
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("obs z = sigma z 1\n")
+@pytest.mark.parametrize("text, line, col, message", STATEMENT_RULES)
+def test_statement_rule_errors(text, line, col, message):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
 
 
 def test_pair_product_must_cover_contiguous_sites():
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError) as err:
         parse_scenario("state x = singlet(2,3)\n")
-    with pytest.raises(ScenarioParseError):
+    assert str(err.value) == ("line 1, column 11: a pair product must cover sites 1..2 "
+                              "exactly, got [2, 3]")
+    with pytest.raises(ScenarioParseError) as err:
         parse_scenario("state x = singlet(1,2) * singlet(2,3)\n")
-
-
-def test_assert_prob_takes_one_sign():
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("qubits 1\nstate x = |0>\nobs z = sigma z 1\n"
-                       "assert_prob z ++ = 1/2\n")
-
-
-def test_measure_sign_count_must_match():
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("qubits 2\nstate x = |00>\nobs a = sigma z 1\n"
-                       "obs b = sigma z 2\nmeasure a, b outcomes +\n")
+    assert str(err.value) == "line 1, column 24: singlet site 2 used twice in a pair product"
 
 
 # ---------------------------------------------------------------------------
