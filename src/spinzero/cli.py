@@ -42,10 +42,8 @@ from .measurement import (
     sequence_distribution,
 )
 from .scenario import (
-    MeasureStmt,
     ScenarioParseError,
     ScenarioRuntimeError,
-    StateStmt,
     dirac_audit,
     parse_scenario_file,
     run_claimed_protocol,
@@ -264,22 +262,8 @@ def _render_refutation(report) -> list[str]:
 
 def cmd_sample(ns: argparse.Namespace):
     scenario = parse_scenario_file(ns.input)
-    current = start = None
-    program_names: list[str] = []
-    for st in scenario.statements:
-        if isinstance(st, StateStmt):
-            current = st
-        elif isinstance(st, MeasureStmt):
-            if start is None:
-                start = current
-            elif current is not start:
-                raise ScenarioRuntimeError(
-                    f"line {st.line}: state {current.name!r} (line {current.line}) is bound "
-                    "between measure lines; sample draws one chained program from one state")
-            program_names.extend(st.names)
-    if start is None:
-        raise ScenarioRuntimeError("scenario contains no measure line to sample")
-    state = scenario.states[start.name]
+    state_name, program_names = scenario.sampled_program()
+    state = scenario.states[state_name]
     program = [scenario.observables[name] for name in program_names]
     exact = sequence_distribution(state, program, norm_tol=ns.tol["norm"])
     counts = _draw_counts(exact.entries, ns.trials, ns.seed)
@@ -298,7 +282,7 @@ def cmd_sample(ns: argparse.Namespace):
     report = {
         "command": "sample",
         "input": ns.input,
-        "state": start.name,
+        "state": state_name,
         "observables": program_names,
         "trials": ns.trials,
         "seed": ns.seed,

@@ -23,6 +23,9 @@ the register that measure / assert_prob / report act on; `measure` performs
 sequential postselecting collapse and updates the register.  `singlet(i,j)`
 atoms compose under "*" into a multi-pair product whose sites must cover
 1..2k exactly; everything else treats "*" positionally.
+
+Each statement kind is one node class, which parses, checks, prints and
+runs its own line, and one entry of the keyword table `_STATEMENTS`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -62,12 +66,6 @@ from .observables import (
     pauli,
 )
 from .measurement import Distribution, born_distribution, run_sequence
-
-RESERVED_NAMES = frozenset({
-    "qubits", "state", "obs", "measure", "outcomes", "assert_prob", "report",
-    "normalize", "singlet", "embed", "sigma", "sqrt", "i",
-    "F", "G", "phi0", "phi1", "psi0", "psi1", "eta_tilde",
-})
 
 _STATE_BUILTINS = ("phi0", "phi1", "psi0", "psi1", "eta_tilde")
 
@@ -207,9 +205,41 @@ class EmbedExpr(NamedTuple):
     col: int
 
 
+# ---------------------------------------------------------------------------
+# statements: one class per kind of line holds its keyword; `on_register`,
+# whether it acts on the register (so a state must be bound before it);
+# `parse` of the rest of its line; `check` of its rules against the bindings
+# before it; its canonical `format`; its `run` step of run_scenario; and its
+# `chain` step of the one program that `sample` draws.
+
+def _no_step(self, context):
+    """The run or chain step of a line that takes no part in it."""
+
+
 class QubitsStmt(NamedTuple):
     n: int
     line: int
+
+    keyword = "qubits"
+    on_register = False
+    run = chain = _no_step
+
+    @classmethod
+    def parse(cls, parser, line):
+        return cls(parser.expect_int("a qubit count"), line)
+
+    def check(self, env):
+        if env.n_qubits is not None:
+            raise ScenarioParseError("duplicate qubits declaration", self.line, 1)
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ScenarioParseError(
+                f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}", self.line, 1)
+        env.n_qubits = self.n
+        for name, vec in env.states.items():
+            _require_register_width(name, vec, self.n, self.line)
+
+    def format(self):
+        return f"qubits {self.n}"
 
 
 class StateStmt(NamedTuple):
@@ -217,17 +247,115 @@ class StateStmt(NamedTuple):
     expr: object
     line: int
 
+    keyword = "state"
+    on_register = False
+
+    @classmethod
+    def parse(cls, parser, line):
+        return cls(*parser.parse_binding(parser.parse_sexpr), line)
+
+    def check(self, env):
+        if self.name in env.states:
+            raise ScenarioParseError(f"state {self.name!r} is already bound", self.line, 1)
+        # An overflow is a parse error at the operation that caused it, so
+        # numpy's floating-point warnings stay off.
+        with np.errstate(all="ignore"):
+            vec = _collapse_value(_eval_sexpr(self.expr, env.states), self.expr)
+            vec_norm = norm(vec)
+        if abs(vec_norm - 1.0) > TOL_NORM:
+            # normalize(...) of a vector whose norm overflows fails as well
+            hint = ("wrap the expression in normalize(...)" if math.isfinite(vec_norm)
+                    else "its norm overflows a float")
+            raise ScenarioParseError(
+                f"state {self.name!r} is not normalized (norm {vec_norm:.12g}); {hint}",
+                self.line, 1)
+        if env.n_qubits is not None:
+            _require_register_width(self.name, vec, env.n_qubits, self.line)
+        env.states[self.name] = vec
+
+    def format(self):
+        return f"state {self.name} = {_fmt_sexpr(self.expr)}"
+
+    def run(self, run):
+        run.register = run.scenario.states[self.name]
+
+    def chain(self, chain):
+        chain.current = self
+
 
 class ObsStmt(NamedTuple):
     name: str
     expr: object
     line: int
 
+    keyword = "obs"
+    on_register = False
+    run = chain = _no_step
+
+    @classmethod
+    def parse(cls, parser, line):
+        return cls(*parser.parse_binding(parser.parse_oexpr), line)
+
+    def check(self, env):
+        if self.name in env.observables:
+            raise ScenarioParseError(f"observable {self.name!r} is already bound",
+                                     self.line, 1)
+        env.observables[self.name] = _eval_oexpr(self.expr, env.n_qubits)
+
+    def format(self):
+        return f"obs {self.name} = {_fmt_oexpr(self.expr)}"
+
 
 class MeasureStmt(NamedTuple):
     names: tuple[str, ...]
     signs: tuple[int, ...]
     line: int
+
+    keyword = "measure"
+    on_register = True
+
+    @classmethod
+    def parse(cls, parser, line):
+        names = [parser.expect_name("an observable name").text]
+        while parser.peek().kind == "SYM" and parser.peek().text == ",":
+            parser.advance()
+            names.append(parser.expect_name("an observable name").text)
+        kw = parser.expect_name("'outcomes'")
+        if kw.text != "outcomes":
+            parser.fail("expected 'outcomes'", kw)
+        return cls(tuple(names), parser.parse_signs(), line)
+
+    def check(self, env):
+        if len(self.signs) != len(self.names):
+            raise ScenarioParseError(
+                f"{len(self.names)} observables but {len(self.signs)} outcome signs",
+                self.line, 1)
+        for name in self.names:
+            _require_obs(name, env.observables, self.line)
+
+    def format(self):
+        return f"measure {', '.join(self.names)} outcomes {_fmt_signs(self.signs)}"
+
+    def run(self, run):
+        program = [run.scenario.observables[name] for name in self.names]
+        outcomes = [float(s) for s in self.signs]
+        records = run_sequence(run.register, program, outcomes,
+                               norm_tol=run.norm_tol, zero_tol=run.zero_tol)
+        run.register = records[-1].post_state
+        probs = tuple(rec.probability for rec in records)
+        run.measurements.append(MeasurementTrace(
+            names=self.names, signs=self.signs, step_probabilities=probs,
+            joint_probability=float(np.prod(probs))))
+
+    def chain(self, chain):
+        if chain.start is None:
+            chain.start = chain.current
+        elif chain.current is not chain.start:
+            raise ScenarioRuntimeError(
+                f"line {self.line}: state {chain.current.name!r} (line {chain.current.line}) "
+                "is bound between measure lines; sample draws one chained program from one "
+                "state")
+        chain.names.extend(self.names)
 
 
 class AssertProbStmt(NamedTuple):
@@ -237,10 +365,78 @@ class AssertProbStmt(NamedTuple):
     denominator: int
     line: int
 
+    keyword = "assert_prob"
+    on_register = True
+    chain = _no_step
+
+    @classmethod
+    def parse(cls, parser, line):
+        name = parser.expect_name("an observable name").text
+        signs = parser.parse_signs()
+        parser.expect_sym("=")
+        num_tok = parser.peek()
+        numerator = parser.expect_int("a rational number")
+        denominator = 1
+        if parser.peek().kind == "SYM" and parser.peek().text == "/":
+            parser.advance()
+            denominator = parser.expect_int("a denominator")
+            if denominator == 0:
+                parser.fail("denominator must be nonzero", num_tok)
+        return cls(name, signs, numerator, denominator, line)
+
+    def check(self, env):
+        if len(self.signs) != 1:
+            raise ScenarioParseError(
+                "assert_prob takes exactly one outcome sign", self.line, 1)
+        _require_obs(self.name, env.observables, self.line)
+
+    def format(self):
+        rational = (f"{self.numerator}" if self.denominator == 1
+                    else f"{self.numerator}/{self.denominator}")
+        return f"assert_prob {self.name} {_fmt_signs(self.signs)} = {rational}"
+
+    def run(self, run):
+        obs = run.scenario.observables[self.name]
+        dist = born_distribution(run.register, obs, norm_tol=run.norm_tol)
+        computed = dist.probability(float(self.signs[0]))
+        target = self.numerator / self.denominator
+        run.assertions.append(AssertionResult(
+            observable=self.name, sign=self.signs[0], numerator=self.numerator,
+            denominator=self.denominator, computed=computed,
+            passed=abs(computed - target) <= run.assert_tol))
+
 
 class ReportStmt(NamedTuple):
     name: str
     line: int
+
+    keyword = "report"
+    on_register = True
+    chain = _no_step
+
+    @classmethod
+    def parse(cls, parser, line):
+        return cls(parser.expect_name("an observable name").text, line)
+
+    def check(self, env):
+        _require_obs(self.name, env.observables, self.line)
+
+    def format(self):
+        return f"report {self.name}"
+
+    def run(self, run):
+        obs = run.scenario.observables[self.name]
+        dist = born_distribution(run.register, obs, norm_tol=run.norm_tol)
+        run.reports.append(ObservableReport(observable=self.name, distribution=dist))
+
+
+_STATEMENTS = {cls.keyword: cls for cls in (
+    QubitsStmt, StateStmt, ObsStmt, MeasureStmt, AssertProbStmt, ReportStmt)}
+
+RESERVED_NAMES = frozenset({
+    *_STATEMENTS, "outcomes", "normalize", "singlet", "embed", "sigma", "sqrt", "i",
+    "F", "G", *_STATE_BUILTINS,
+})
 
 
 def _coeff_value(negative: bool, factors) -> complex:
@@ -323,65 +519,20 @@ class _Parser:
     def parse_statements(self) -> tuple:
         statements = []
         while self.peek().kind != "EOF":
-            statements.append(self.parse_statement())
+            tok = self.expect_name("a statement keyword")
+            if tok.text not in _STATEMENTS:
+                self.fail(f"unknown statement {tok.text!r}", tok)
+            statements.append(_STATEMENTS[tok.text].parse(self, tok.line))
+            self.expect_eol()
         return tuple(statements)
 
-    def parse_statement(self):
-        tok = self.expect_name("a statement keyword")
-        word = tok.text
-        if word == "qubits":
-            n = self.expect_int("a qubit count")
-            self.expect_eol()
-            return QubitsStmt(n=n, line=tok.line)
-        if word == "state":
-            name = self._binding_name()
-            self.expect_sym("=")
-            expr = self.parse_sexpr()
-            self.expect_eol()
-            return StateStmt(name=name, expr=expr, line=tok.line)
-        if word == "obs":
-            name = self._binding_name()
-            self.expect_sym("=")
-            expr = self.parse_oexpr()
-            self.expect_eol()
-            return ObsStmt(name=name, expr=expr, line=tok.line)
-        if word == "measure":
-            names = [self.expect_name("an observable name").text]
-            while self.peek().kind == "SYM" and self.peek().text == ",":
-                self.advance()
-                names.append(self.expect_name("an observable name").text)
-            kw = self.expect_name("'outcomes'")
-            if kw.text != "outcomes":
-                self.fail("expected 'outcomes'", kw)
-            signs = self.parse_signs()
-            self.expect_eol()
-            return MeasureStmt(names=tuple(names), signs=signs, line=tok.line)
-        if word == "assert_prob":
-            name = self.expect_name("an observable name").text
-            signs = self.parse_signs()
-            self.expect_sym("=")
-            num_tok = self.peek()
-            numerator = self.expect_int("a rational number")
-            denominator = 1
-            if self.peek().kind == "SYM" and self.peek().text == "/":
-                self.advance()
-                denominator = self.expect_int("a denominator")
-                if denominator == 0:
-                    self.fail("denominator must be nonzero", num_tok)
-            self.expect_eol()
-            return AssertProbStmt(name=name, signs=signs, numerator=numerator,
-                                  denominator=denominator, line=tok.line)
-        if word == "report":
-            name = self.expect_name("an observable name").text
-            self.expect_eol()
-            return ReportStmt(name=name, line=tok.line)
-        self.fail(f"unknown statement {word!r}", tok)
-
-    def _binding_name(self) -> str:
+    def parse_binding(self, parse_expr) -> tuple:
+        """`NAME = EXPR` of a state or obs line: (name, expression)."""
         tok = self.expect_name("a binding name")
         if tok.text in RESERVED_NAMES:
             self.fail(f"{tok.text!r} is a reserved name", tok)
-        return tok.text
+        self.expect_sym("=")
+        return tok.text, parse_expr()
 
     def parse_signs(self) -> tuple[int, ...]:
         signs = []
@@ -548,6 +699,18 @@ class Scenario:
     states: dict[str, np.ndarray]
     observables: dict[str, SpectralObservable]
 
+    def sampled_program(self) -> tuple[str, list[str]]:
+        """The one chained program `sample` draws: the name of the state bound
+        before the first measure line, and the observables of every measure
+        line in order.  No measure line, or a state bound between two, is a
+        ScenarioRuntimeError."""
+        chain = SimpleNamespace(start=None, current=None, names=[])
+        for st in self.statements:
+            st.chain(chain)
+        if chain.start is None:
+            raise ScenarioRuntimeError("scenario contains no measure line to sample")
+        return chain.start.name, chain.names
+
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and elaborate scenario text.
@@ -576,52 +739,12 @@ def parse_scenario_file(path) -> Scenario:
 
 
 def _elaborate(statements) -> Scenario:
-    n_qubits: int | None = None
-    states: dict[str, np.ndarray] = {}
-    observables: dict[str, SpectralObservable] = {}
-    have_state = False
+    env = SimpleNamespace(n_qubits=None, states={}, observables={})
     for st in statements:
-        if isinstance(st, QubitsStmt):
-            if n_qubits is not None:
-                raise ScenarioParseError("duplicate qubits declaration", st.line, 1)
-            if not 1 <= st.n <= MAX_QUBITS:
-                raise ScenarioParseError(
-                    f"qubit count must be in 1..{MAX_QUBITS}, got {st.n}", st.line, 1)
-            n_qubits = st.n
-            for name, vec in states.items():
-                _require_register_width(name, vec, n_qubits, st.line)
-        elif isinstance(st, StateStmt):
-            if st.name in states:
-                raise ScenarioParseError(f"state {st.name!r} is already bound", st.line, 1)
-            vec = _eval_top_state(st, states)
-            if n_qubits is not None:
-                _require_register_width(st.name, vec, n_qubits, st.line)
-            states[st.name] = vec
-            have_state = True
-        elif isinstance(st, ObsStmt):
-            if st.name in observables:
-                raise ScenarioParseError(f"observable {st.name!r} is already bound",
-                                         st.line, 1)
-            observables[st.name] = _eval_oexpr(st.expr, n_qubits)
-        elif isinstance(st, MeasureStmt):
-            _require_program_context(st, have_state)
-            if len(st.signs) != len(st.names):
-                raise ScenarioParseError(
-                    f"{len(st.names)} observables but {len(st.signs)} outcome signs",
-                    st.line, 1)
-            for name in st.names:
-                _resolve_obs(name, observables, st.line)
-        elif isinstance(st, AssertProbStmt):
-            _require_program_context(st, have_state)
-            if len(st.signs) != 1:
-                raise ScenarioParseError(
-                    "assert_prob takes exactly one outcome sign", st.line, 1)
-            _resolve_obs(st.name, observables, st.line)
-        elif isinstance(st, ReportStmt):
-            _require_program_context(st, have_state)
-            _resolve_obs(st.name, observables, st.line)
-    return Scenario(n_qubits=n_qubits, statements=statements,
-                    states=states, observables=observables)
+        if st.on_register and not env.states:
+            raise ScenarioParseError("no state defined before this statement", st.line, 1)
+        st.check(env)
+    return Scenario(statements=statements, **vars(env))
 
 
 def _require_register_width(name: str, vec: np.ndarray, n_qubits: int, line: int):
@@ -632,31 +755,9 @@ def _require_register_width(name: str, vec: np.ndarray, n_qubits: int, line: int
             line, 1)
 
 
-def _require_program_context(st, have_state: bool):
-    if not have_state:
-        raise ScenarioParseError("no state defined before this statement", st.line, 1)
-
-
-def _resolve_obs(name: str, observables, line: int) -> SpectralObservable:
+def _require_obs(name: str, observables, line: int):
     if name not in observables:
         raise ScenarioParseError(f"unknown observable {name!r}", line, 1)
-    return observables[name]
-
-
-def _eval_top_state(st: StateStmt, env) -> np.ndarray:
-    # An overflow is a parse error at the operation that caused it, so
-    # numpy's floating-point warnings stay off.
-    with np.errstate(all="ignore"):
-        vec = _collapse_value(_eval_sexpr(st.expr, env), st.expr)
-        vec_norm = norm(vec)
-    if abs(vec_norm - 1.0) > TOL_NORM:
-        # normalize(...) of a vector whose norm overflows fails as well
-        hint = ("wrap the expression in normalize(...)" if math.isfinite(vec_norm)
-                else "its norm overflows a float")
-        raise ScenarioParseError(
-            f"state {st.name!r} is not normalized (norm {vec_norm:.12g}); {hint}",
-            st.line, 1)
-    return vec
 
 
 def _finite(vec: np.ndarray, what: str, line: int, col: int) -> np.ndarray:
@@ -783,26 +884,7 @@ def _eval_oexpr(node, n_qubits: int | None) -> SpectralObservable:
 def format_scenario(scenario: Scenario) -> str:
     """Canonical text for a scenario; parsing it back yields an equivalent
     scenario (amplitude-level equality for every binding)."""
-    lines = [_format_statement(st) for st in scenario.statements]
-    return "\n".join(lines) + "\n"
-
-
-def _format_statement(st) -> str:
-    if isinstance(st, QubitsStmt):
-        return f"qubits {st.n}"
-    if isinstance(st, StateStmt):
-        return f"state {st.name} = {_fmt_sexpr(st.expr)}"
-    if isinstance(st, ObsStmt):
-        return f"obs {st.name} = {_fmt_oexpr(st.expr)}"
-    if isinstance(st, MeasureStmt):
-        return f"measure {', '.join(st.names)} outcomes {_fmt_signs(st.signs)}"
-    if isinstance(st, AssertProbStmt):
-        rational = (f"{st.numerator}" if st.denominator == 1
-                    else f"{st.numerator}/{st.denominator}")
-        return f"assert_prob {st.name} {_fmt_signs(st.signs)} = {rational}"
-    if isinstance(st, ReportStmt):
-        return f"report {st.name}"
-    raise TypeError(f"unknown statement {st!r}")
+    return "\n".join(st.format() for st in scenario.statements) + "\n"
 
 
 def _fmt_signs(signs) -> str:
@@ -895,7 +977,6 @@ class ScenarioResult:
     measurements: tuple[MeasurementTrace, ...]
     assertions: tuple[AssertionResult, ...]
     reports: tuple[ObservableReport, ...]
-    final_state: np.ndarray | None
     passed: bool
 
 
@@ -908,49 +989,17 @@ def run_scenario(scenario: Scenario, *, assert_tol: float = TOL_ASSERT,
     every measure line.  Failed assertions are collected (not raised);
     dimension and zero-probability failures raise ScenarioRuntimeError.
     """
-    current: np.ndarray | None = None
-    measurements: list[MeasurementTrace] = []
-    assertions: list[AssertionResult] = []
-    reports: list[ObservableReport] = []
+    run = SimpleNamespace(scenario=scenario, register=None, assert_tol=assert_tol,
+                          zero_tol=zero_tol, norm_tol=norm_tol,
+                          measurements=[], assertions=[], reports=[])
     for st in scenario.statements:
-        if isinstance(st, StateStmt):
-            current = scenario.states[st.name]
-        elif isinstance(st, MeasureStmt):
-            program = [scenario.observables[name] for name in st.names]
-            outcomes = [float(s) for s in st.signs]
-            try:
-                records = run_sequence(current, program, outcomes,
-                                       norm_tol=norm_tol, zero_tol=zero_tol)
-            except ValueError as exc:
-                raise ScenarioRuntimeError(f"line {st.line}: {exc}") from exc
-            current = records[-1].post_state
-            probs = tuple(rec.probability for rec in records)
-            measurements.append(MeasurementTrace(
-                names=st.names, signs=st.signs, step_probabilities=probs,
-                joint_probability=float(np.prod(probs))))
-        elif isinstance(st, AssertProbStmt):
-            obs = scenario.observables[st.name]
-            try:
-                dist = born_distribution(current, obs, norm_tol=norm_tol)
-                computed = dist.probability(float(st.signs[0]))
-            except (ValueError, KeyError) as exc:
-                raise ScenarioRuntimeError(f"line {st.line}: {exc}") from exc
-            target = st.numerator / st.denominator
-            assertions.append(AssertionResult(
-                observable=st.name, sign=st.signs[0], numerator=st.numerator,
-                denominator=st.denominator, computed=computed,
-                passed=abs(computed - target) <= assert_tol))
-        elif isinstance(st, ReportStmt):
-            obs = scenario.observables[st.name]
-            try:
-                dist = born_distribution(current, obs, norm_tol=norm_tol)
-            except ValueError as exc:
-                raise ScenarioRuntimeError(f"line {st.line}: {exc}") from exc
-            reports.append(ObservableReport(observable=st.name, distribution=dist))
-    return ScenarioResult(measurements=tuple(measurements),
-                          assertions=tuple(assertions), reports=tuple(reports),
-                          final_state=current,
-                          passed=all(a.passed for a in assertions))
+        try:
+            st.run(run)
+        except (ValueError, KeyError) as exc:
+            raise ScenarioRuntimeError(f"line {st.line}: {exc}") from exc
+    return ScenarioResult(measurements=tuple(run.measurements),
+                          assertions=tuple(run.assertions), reports=tuple(run.reports),
+                          passed=all(a.passed for a in run.assertions))
 
 
 # ---------------------------------------------------------------------------
