@@ -54,7 +54,6 @@ from .measurement import (
     correlation_check,
     joint_distribution,
     run_sequence,
-    sample,
     sequence_distribution,
 )
 from .scenario import (

@@ -229,17 +229,6 @@ def joint_distribution(state, observables) -> Distribution:
     return Distribution(entries=tuple(_sequence_paths(state, observables, TOL_NORM)))
 
 
-def sample(state, program, trials: int, seed: int) -> dict[tuple[float, ...], int]:
-    """Seeded Monte Carlo frequencies for a sequential measurement program.
-
-    Path probabilities are computed exactly by chained projection and one
-    multinomial draw produces the counts, which matches shot-by-shot
-    sequential collapse in distribution while staying deterministic per
-    seed.
-    """
-    return _draw_counts(_sequence_paths(state, program, TOL_NORM), trials, seed)
-
-
 def _draw_counts(paths, trials: int, seed: int) -> dict[tuple[float, ...], int]:
     """One seeded multinomial draw of `trials` shots over exact
     (outcome, probability) paths."""

@@ -178,21 +178,6 @@ def permute_qubits(state: np.ndarray, order) -> np.ndarray:
     return state.reshape([2] * n).transpose(axes).reshape(-1)
 
 
-def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state on n qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(f"qubit count must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    dim = 2 ** n_qubits
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return normalize(vec)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix built as a + a^dagger."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return a + a.conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (real, descending) with matching orthonormal eigenvector columns."""

@@ -64,6 +64,28 @@ def _reference_su2(rng):
                      [-c + 1j * d, a - 1j * b]], dtype=complex)
 
 
+def random_state(n_qubits: int, rng) -> np.ndarray:
+    """Haar-random pure state on n qubits."""
+    from spinzero.qcore import normalize
+
+    dim = 2 ** n_qubits
+    return normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    """Random Hermitian matrix built as a + a^dagger."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a + a.conj().T
+
+
+def sample_counts(state, program, trials: int, seed: int) -> dict:
+    """The counts `spinzero sample` draws: one seeded multinomial draw over
+    the exact outcome strings of the program."""
+    from spinzero.measurement import _draw_counts, sequence_distribution
+
+    return _draw_counts(sequence_distribution(state, program).entries, trials, seed)
+
+
 def dense_projector(obs, eigenvalue) -> np.ndarray:
     """B B^dagger for the register-wide basis B of the branch within 1e-12
     of `eigenvalue`, from the dense `branches` view."""
@@ -76,8 +98,6 @@ def scenarios_equivalent(a, b) -> bool:
     to 1e-10, every observable on the same sites with the same eigenvalues
     and local-branch projectors, and the same measure, assert_prob and report
     lines in the same order, compared by their canonical text."""
-    from spinzero.scenario import format_scenario
-
     if a.n_qubits != b.n_qubits:
         return False
     if set(a.states) != set(b.states) or set(a.observables) != set(b.observables):
@@ -94,8 +114,7 @@ def scenarios_equivalent(a, b) -> bool:
                 return False
 
     def program(scenario):
-        return [line for line in format_scenario(scenario).splitlines()
-                if line.startswith(("measure ", "assert_prob ", "report "))]
+        return [st.format() for st in scenario.statements if st.on_register]
     return program(a) == program(b)
 
 

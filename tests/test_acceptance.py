@@ -13,8 +13,6 @@ from spinzero.qcore import (
     hermitian_eigen,
     inner,
     max_abs,
-    random_hermitian,
-    random_state,
 )
 from spinzero.states import basis_ket, eta_tilde, spin_zero_basis, total_spin_squared
 from spinzero.observables import (
@@ -34,7 +32,6 @@ from spinzero.measurement import (
     correlation_check,
     joint_distribution,
     run_sequence,
-    sample,
 )
 from spinzero.scenario import (
     ScenarioParseError,
@@ -44,7 +41,14 @@ from spinzero.scenario import (
 )
 from spinzero.cli import main as cli_main
 
-from helpers import MALFORMED_INPUTS, scenario_corpus, scenarios_equivalent
+from helpers import (
+    MALFORMED_INPUTS,
+    random_hermitian,
+    random_state,
+    sample_counts,
+    scenario_corpus,
+    scenarios_equivalent,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -206,7 +210,7 @@ def test_criterion_10_sampling():
     ok = True
     details = []
     for seed in (101, 202, 303):
-        counts = sample(eta_tilde(), [f_on_eight()], trials, seed)
+        counts = sample_counts(eta_tilde(), [f_on_eight()], trials, seed)
         freq = counts[(1.0,)] / trials
         deviation = abs(freq - p) / sigma
         ok = ok and deviation <= 4.0

@@ -29,7 +29,7 @@ from spinzero.observables import (
     observable_g,
     pauli,
 )
-from spinzero.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_LABEL, normalize, random_state
+from spinzero.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_LABEL, normalize
 from spinzero.scenario import parse_scenario_file
 from spinzero.states import basis_ket, total_spin_squared
 
@@ -40,6 +40,7 @@ from helpers import (
     kron_chain,
     per_node_eigenspaces,
     per_node_paths,
+    random_state,
     register_is_function_of,
 )
 

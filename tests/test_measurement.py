@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinzero.qcore import DimensionMismatchError, random_state
+from spinzero.qcore import DimensionMismatchError
 from spinzero.states import basis_ket, eta_tilde, singlet, spin_zero_basis
 from spinzero.observables import SpectralObservable, embed, observable_f, observable_g, pauli
 from spinzero.measurement import (
@@ -18,11 +18,10 @@ from spinzero.measurement import (
     correlation_check,
     joint_distribution,
     run_sequence,
-    sample,
     sequence_distribution,
 )
 
-from helpers import mixed_ket_for_signs
+from helpers import mixed_ket_for_signs, random_state, sample_counts
 
 
 def f_on_eight():
@@ -220,23 +219,23 @@ def test_joint_distribution_rejects_non_commuting():
 
 
 def test_sample_certain_branch():
-    counts = sample(basis_ket("0"), [pauli("z", 1, 1)], 1000, seed=5)
+    counts = sample_counts(basis_ket("0"), [pauli("z", 1, 1)], 1000, seed=5)
     assert counts[(1.0,)] == 1000
     assert counts[(-1.0,)] == 0
 
 
 def test_sample_deterministic_per_seed():
     program = [f_on_eight()]
-    a = sample(eta_tilde(), program, 10_000, seed=11)
-    b = sample(eta_tilde(), program, 10_000, seed=11)
+    a = sample_counts(eta_tilde(), program, 10_000, seed=11)
+    b = sample_counts(eta_tilde(), program, 10_000, seed=11)
     assert a == b
-    c = sample(eta_tilde(), program, 10_000, seed=12)
+    c = sample_counts(eta_tilde(), program, 10_000, seed=12)
     assert c != a
 
 
 def test_sample_converges_at_binomial_rate():
     trials = 1_000_000
-    counts = sample(eta_tilde(), [f_on_eight()], trials, seed=2)
+    counts = sample_counts(eta_tilde(), [f_on_eight()], trials, seed=2)
     p = 1.0 / 12.0
     sigma = math.sqrt(p * (1.0 - p) / trials)
     assert abs(counts[(1.0,)] / trials - p) <= 4.0 * sigma

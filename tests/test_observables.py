@@ -16,7 +16,6 @@ from spinzero.qcore import (
     commutator,
     hermitian_eigen,
     max_abs,
-    random_hermitian,
 )
 from spinzero import observables
 from spinzero.observables import (
@@ -36,7 +35,7 @@ from spinzero.observables import (
 from spinzero.measurement import born_distribution
 from spinzero.states import basis_ket, spin_zero_basis, total_spin_squared
 
-from helpers import _reference_su2, dense_projector, kron_chain
+from helpers import _reference_su2, dense_projector, kron_chain, random_hermitian
 
 
 def test_pauli_single_qubit_branches():

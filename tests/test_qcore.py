@@ -19,8 +19,6 @@ from spinzero.qcore import (
     inner,
     max_abs,
     permute_qubits,
-    random_hermitian,
-    random_state,
     _exact_blocks,
     _kron_all,
     tensor,
@@ -38,7 +36,7 @@ from spinzero.scenario import parse_scenario
 from spinzero.observables import from_matrix, observable_f, pauli
 
 import exact_oracle
-from helpers import PHI1_EXPECTED, product_ket, reach_closure_blocks
+from helpers import PHI1_EXPECTED, product_ket, random_hermitian, random_state, reach_closure_blocks
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)

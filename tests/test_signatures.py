@@ -86,7 +86,7 @@ EXPORTS = {
     "CorrelationReport", "Distribution", "MeasurementRecord", "OutcomeNotInSpectrumError",
     "OverlappingSupportError", "UnnormalizedStateError", "ZeroProbabilityError",
     "born_distribution", "collapse", "correlation_check", "joint_distribution",
-    "run_sequence", "sample", "sequence_distribution",
+    "run_sequence", "sequence_distribution",
     # scenario
     "ProtocolReport", "Scenario", "ScenarioParseError", "ScenarioRuntimeError",
     "check_eta_candidate", "dirac_audit", "format_scenario",
