@@ -1,5 +1,6 @@
-"""README's `### Example` block runs and gives the results it states, so the
-documented library surface cannot be cut by accident."""
+"""README's `### Example` block runs and gives the results it states, and its
+statement block lists every statement of the scenario language, so the
+documented surface cannot be cut, or grow, by accident."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from spinzero.measurement import ZeroProbabilityError
+from spinzero.scenario import _STATEMENTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +36,9 @@ def test_readme_example_gives_its_stated_results():
     assert protocol[:2] == (1.0, "refuted") and protocol[2] == pytest.approx(1 / 12, abs=1e-12)
     with pytest.raises(ZeroProbabilityError):
         exec(compile(ast.Module([last], []), "README", "exec"), namespace)
+
+
+def test_readme_statement_block_lists_every_statement():
+    section = README.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert [line.split()[0] for line in block.splitlines()] == list(_STATEMENTS)
